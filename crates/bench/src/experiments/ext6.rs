@@ -2,18 +2,20 @@
 //!
 //! The paper sizes its caches by picking a handful of geometries and
 //! simulating each one separately. A reuse-distance profile gets the
-//! whole curve from a single trace walk: a log2 tower of true-LRU
-//! caches (32 B up to 32 KB, one line size) measures the hit count at
-//! every power-of-two capacity simultaneously.
+//! whole curve from a single trace walk: one exact LRU stack-distance
+//! engine reports each access's reuse distance, and a histogram of
+//! those distances gives the hit count at every power-of-two capacity
+//! (32 B up to 32 KB, one line size) simultaneously.
 //!
 //! The experiment replays each of the six high-value-locality
-//! benchmarks **once**, feeding the [`ReuseProfiler`] tower and eleven
-//! fully-associative [`CacheSim`] instances (one per tower level) in
-//! the same broadcast walk, then cross-checks the tower's hit counts
-//! against the independently simulated caches at every level — the
+//! benchmarks **once**, feeding the [`ReuseProfiler`] and eleven
+//! fully-associative [`CacheSim`] instances (one per capacity) in the
+//! same broadcast walk, then cross-checks the profiler's hit counts
+//! against the independently simulated caches at every capacity — the
 //! one-pass curve must be *exact*, not an approximation. Both sides
-//! land in the metrics log as classes (`tower-*`, `fa-*`) so the
-//! equality can be re-derived straight from `BENCH_fvl.json`.
+//! land in the metrics log as classes (`tower-*` for the profiler,
+//! `fa-*` for the caches) so the equality can be re-derived straight
+//! from `BENCH_fvl.json`.
 
 use super::Report;
 use crate::data::ExperimentContext;
@@ -23,7 +25,7 @@ use fvl_cache::{CacheGeometry, CacheSim, CacheStats};
 use fvl_mem::AccessSink;
 use fvl_profile::{MissCurve, ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
 
-/// Human-readable capacity of each tower level (`2^level` lines of
+/// Human-readable capacity of each curve point (`2^level` lines of
 /// [`DEFAULT_LINE_BYTES`]).
 pub const CAPACITY_LABELS: [&str; TOWER_LEVELS] = [
     "32B", "64B", "128B", "256B", "512B", "1KB", "2KB", "4KB", "8KB", "16KB", "32KB",
@@ -69,7 +71,7 @@ pub fn run(ctx: &ExperimentContext) -> Report {
             .map(|level| {
                 CacheSim::new(
                     CacheGeometry::fully_associative(1 << level, DEFAULT_LINE_BYTES)
-                        .expect("tower geometries are valid by construction"),
+                        .expect("curve geometries are valid by construction"),
                 )
             })
             .collect();

@@ -3,11 +3,14 @@
 //! Uses the standard decomposition: a miss is *compulsory* if the line was
 //! never referenced before; otherwise it is a *capacity* miss if a
 //! fully-associative LRU cache of the same total capacity would also miss,
-//! and a *conflict* miss if that cache would hit. This supports the
-//! paper's Figure 14 discussion of which miss classes the FVC removes.
+//! and a *conflict* miss if that cache would hit. The fully-associative
+//! cache is a [`StackDistance`] engine as deep as the cache has lines.
+//! This supports the paper's Figure 14 discussion of which miss classes
+//! the FVC removes.
 
+use crate::stack::StackDistance;
 use fvl_mem::Addr;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 /// The class of a cache miss.
@@ -46,12 +49,9 @@ impl fmt::Display for MissClass {
 #[derive(Clone)]
 pub struct MissClassifier {
     line_mask: Addr,
-    capacity_lines: usize,
     seen: HashSet<Addr>,
-    /// Fully-associative LRU model: line -> stamp, stamp -> line.
-    stamps: HashMap<Addr, u64>,
-    order: BTreeMap<u64, Addr>,
-    clock: u64,
+    /// The equal-capacity fully-associative LRU cache.
+    lru: StackDistance,
     compulsory: u64,
     capacity: u64,
     conflict: u64,
@@ -66,18 +66,14 @@ impl MissClassifier {
     /// Panics if `capacity_lines` is zero or `line_bytes` is not a power
     /// of two.
     pub fn new(capacity_lines: usize, line_bytes: u32) -> Self {
-        assert!(capacity_lines > 0, "capacity must be positive");
         assert!(
             line_bytes.is_power_of_two() && line_bytes >= 4,
             "bad line size"
         );
         MissClassifier {
             line_mask: !(line_bytes - 1),
-            capacity_lines,
             seen: HashSet::new(),
-            stamps: HashMap::new(),
-            order: BTreeMap::new(),
-            clock: 0,
+            lru: StackDistance::new(capacity_lines),
             compulsory: 0,
             capacity: 0,
             conflict: 0,
@@ -89,18 +85,7 @@ impl MissClassifier {
     pub fn observe(&mut self, addr: Addr, subject_missed: bool) -> Option<MissClass> {
         let line = addr & self.line_mask;
         let first = self.seen.insert(line);
-        let fa_hit = self.stamps.contains_key(&line);
-        // Update the fully-associative LRU model with this reference.
-        self.clock += 1;
-        if let Some(old) = self.stamps.insert(line, self.clock) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.clock, line);
-        if self.stamps.len() > self.capacity_lines {
-            let (&stamp, &victim) = self.order.iter().next().expect("nonempty");
-            self.order.remove(&stamp);
-            self.stamps.remove(&victim);
-        }
+        let fa_hit = self.lru.access(line).is_some();
         if !subject_missed {
             return None;
         }

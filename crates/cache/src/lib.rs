@@ -11,6 +11,9 @@
 //! * [`MainMemory`] — backing store with word-level traffic accounting.
 //! * [`VictimCache`] — Jouppi's fully-associative swap-on-hit buffer
 //!   (the Figure 15 baseline).
+//! * [`StackDistance`] — the exact, bounded LRU stack-distance engine:
+//!   the fully-associative LRU model of the miss classifier and the
+//!   `fvl-profile` reuse profiler.
 //! * [`MissClassifier`] — compulsory / capacity / conflict attribution
 //!   (the Figure 14 discussion).
 //! * [`CacheSim`] — an [`fvl_mem::AccessSink`] driving one conventional
@@ -44,6 +47,7 @@ pub mod metrics;
 pub mod replacement;
 mod sim;
 mod simulator;
+mod stack;
 mod stats;
 mod victim;
 
@@ -54,5 +58,6 @@ pub use geometry::{CacheGeometry, GeometryError};
 pub use replacement::{Replacement, ReplacementKind, ReplacementPolicy};
 pub use sim::{CacheSim, WritePolicy};
 pub use simulator::Simulator;
+pub use stack::StackDistance;
 pub use stats::CacheStats;
 pub use victim::VictimCache;

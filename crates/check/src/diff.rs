@@ -17,7 +17,8 @@ use fvl_mem::{
     AccessSink, AddrCodec, MappedTrace, PackedTrace, SimdLevel, SimdPolicy, Trace, Word,
     CHUNK_ACCESSES,
 };
-use std::collections::BTreeMap;
+use fvl_profile::{ReuseProfiler, DEFAULT_LINE_BYTES, TOWER_LEVELS};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The cache organizations every cache-level differential runs over:
@@ -800,6 +801,87 @@ pub fn diff_sweep(trace: &Trace) -> Option<String> {
     None
 }
 
+/// Diffs the two users of the LRU stack-distance engine against
+/// fully-associative LRU [`OracleCache`]s (one set as wide as the
+/// cache, write-back so every miss allocates).
+///
+/// * Every [`ReuseProfiler`] curve point must equal, hit for hit and
+///   miss for miss, an oracle of `2^l` lines of [`DEFAULT_LINE_BYTES`].
+/// * Per [`GEOMETRIES`] cell, the [`CacheSim::with_classifier`] miss
+///   classes must equal a classification built from a same-shape LRU
+///   oracle (did the subject miss?), a fully-associative oracle of
+///   equal capacity (conflict if it hit, capacity if it missed) and a
+///   set of the lines seen so far (compulsory on a first touch).
+pub fn diff_reuse(trace: &Trace) -> Option<String> {
+    let mut profiler = ReuseProfiler::new();
+    trace.replay_into(&mut profiler);
+    let curve = profiler.curve();
+    for level in 0..TOWER_LEVELS {
+        let point = curve.points[level];
+        let lines = 1u32 << level;
+        let mut oracle = OracleCache::new(
+            u64::from(DEFAULT_LINE_BYTES * lines),
+            DEFAULT_LINE_BYTES,
+            lines,
+            OraclePolicy::WriteBack,
+        );
+        scalar_replay(trace, &mut oracle);
+        let expected = oracle.stats();
+        if (point.hits, point.misses) != (expected.hits(), expected.misses()) {
+            return Some(format!(
+                "ReuseProfiler at {lines} lines diverged: {} hits / {} misses vs \
+                 fully-associative oracle {} / {}",
+                point.hits,
+                point.misses,
+                expected.hits(),
+                expected.misses()
+            ));
+        }
+    }
+
+    for &(size, line, assoc) in &GEOMETRIES {
+        let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
+        let mut sim = CacheSim::new(geom).with_classifier();
+        trace.replay_into(&mut sim);
+        let classifier = sim.classifier().expect("classifier enabled");
+        let got = [
+            classifier.compulsory(),
+            classifier.capacity(),
+            classifier.conflict(),
+        ];
+
+        let mut subject = OracleCache::new(size, line, assoc, OraclePolicy::WriteBack);
+        let fa_ways = (size / u64::from(line)) as u32;
+        let mut fully = OracleCache::new(size, line, fa_ways, OraclePolicy::WriteBack);
+        let mut seen = BTreeSet::new();
+        let mut expected = [0u64; 3];
+        for access in trace.iter_accesses() {
+            let missed = |oracle: &mut OracleCache| {
+                let before = oracle.stats().misses();
+                oracle.access(access);
+                oracle.stats().misses() > before
+            };
+            let subject_missed = missed(&mut subject);
+            let fa_missed = missed(&mut fully);
+            let first = seen.insert(access.addr / line);
+            if subject_missed {
+                expected[match (first, fa_missed) {
+                    (true, _) => 0,
+                    (false, true) => 1,
+                    (false, false) => 2,
+                }] += 1;
+            }
+        }
+        if got != expected {
+            return Some(format!(
+                "MissClassifier {size}B/{line}B/{assoc}-way diverged: \
+                 compulsory/capacity/conflict {got:?} vs oracle {expected:?}"
+            ));
+        }
+    }
+    None
+}
+
 /// Runs every differential runner over one trace and collects the
 /// divergences. Each runner is wrapped in a panic guard: a broken
 /// optimized path may trip an internal assertion (e.g. the load-value
@@ -807,7 +889,7 @@ pub fn diff_sweep(trace: &Trace) -> Option<String> {
 /// divergence.
 pub fn check_trace(trace: &Trace) -> Vec<String> {
     type Runner = fn(&Trace) -> Option<String>;
-    let runners: [(&str, Runner); 7] = [
+    let runners: [(&str, Runner); 8] = [
         ("replay", diff_replay),
         ("simd", diff_simd),
         ("cache", diff_cache),
@@ -815,6 +897,7 @@ pub fn check_trace(trace: &Trace) -> Vec<String> {
         ("hybrid", diff_hybrid),
         ("sweep", diff_sweep),
         ("corpus", diff_corpus),
+        ("reuse", diff_reuse),
     ];
     let mut failures = Vec::new();
     for (name, runner) in runners {

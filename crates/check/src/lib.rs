@@ -23,7 +23,8 @@
 //!   trace through oracle-vs-optimized pairs — `Trace` vs `PackedTrace`
 //!   broadcast, array vs linear-scan encode, `OnlineHybrid` vs an
 //!   offline-profiled hybrid, parallel `sweep` vs a serial oracle
-//!   sweep — asserting stat-for-stat equality.
+//!   sweep, the reuse curve and miss classes vs fully-associative
+//!   oracles — asserting stat-for-stat equality.
 //!
 //! The `conformance` binary runs the fixed-seed corpus and writes a
 //! shrunk repro trace to `target/conformance/repro.fvltrc` on failure;
@@ -31,7 +32,7 @@
 //! diffing the `fvl-serve` wire path — frame-codec byte round-trips and
 //! loopback daemon sessions — against in-process execution.
 //! `tests/mutation_smoke.rs` (behind the `mutation` feature) proves the
-//! net has teeth by catching seven deliberately seeded simulator bugs.
+//! net has teeth by catching eight deliberately seeded simulator bugs.
 //!
 //! # Example
 //!

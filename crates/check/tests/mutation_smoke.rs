@@ -1,6 +1,6 @@
 //! Mutation smoke test: prove the differential net has teeth.
 //!
-//! Compiled only under the `mutation` feature, which turns on seven
+//! Compiled only under the `mutation` feature, which turns on eight
 //! deliberately seeded bugs in the optimized crates:
 //!
 //! 1. an off-by-one set-index mask in `fvl-cache`'s geometry (the top
@@ -26,7 +26,13 @@
 //!    (`read_frame` shortens every declared payload length by one), so
 //!    each non-empty frame read back over the wire loses its final
 //!    byte and leaves a stray byte in the stream that desynchronizes
-//!    every later header.
+//!    every later header, and
+//! 8. an off-by-one in `fvl-cache`'s LRU stack-distance engine
+//!    (`StackDistance` counts a line's own previous touch as one of the
+//!    lines touched since), so every reported distance reads one too
+//!    far and the `ReuseProfiler` curve loses the hits at the edge of
+//!    each capacity (the miss classifier only asks whether a line is
+//!    still live, which the mutation leaves intact).
 //!
 //! Each test below isolates one bug with a trace (and, for the
 //! cache-level bugs, a geometry/policy scope) constructed so the others
@@ -255,6 +261,38 @@ fn frame_length_bug_is_caught() {
         Err(_) => Some("diff_corpus panicked".to_string()),
     };
     assert_eq!(caught, None);
+}
+
+/// Bug 8 — off-by-one stack distance. Loads of lines A, B, A (32-byte
+/// lines 0x000 and 0x020): A's true reuse distance is 1, so a
+/// fully-associative LRU cache of two lines hits it, but the mutant
+/// reports distance 2 and the `ReuseProfiler` curve books a miss at two
+/// lines where the oracle books a hit. The trace keeps every other
+/// mutation inert: it is load-only (dirty-bit bug inert); both
+/// addresses sit below 0x200 and in distinct sets of every zoo geometry
+/// with nothing evicted (mask and victim bugs inert); and `diff_reuse`
+/// replays the plain `Trace`, so no packed, varint, split or frame
+/// decode is involved.
+#[test]
+fn stack_distance_bug_is_caught() {
+    let trace = Trace::from_events(vec![
+        TraceEvent::Access(Access::load(0x000, 0)),
+        TraceEvent::Access(Access::load(0x020, 0)),
+        TraceEvent::Access(Access::load(0x000, 0)),
+    ]);
+    let divergence = diff::diff_reuse(&trace);
+    assert!(
+        divergence.is_some(),
+        "off-by-one stack distance went undetected"
+    );
+    assert!(
+        divergence.unwrap().contains("ReuseProfiler at 2 lines"),
+        "divergence not attributed to the reuse curve"
+    );
+    // Attribution: the cache differential never touches the engine and
+    // stays clean on this trace, so none of the cache-level mutations
+    // fires here.
+    assert_eq!(diff::diff_cache(&trace), None);
 }
 
 /// End to end: a small corpus run must go red, and every failure must

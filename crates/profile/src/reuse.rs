@@ -3,120 +3,24 @@
 //!
 //! A fully associative LRU cache of capacity `C` lines hits an access
 //! exactly when the access's *reuse distance* (distinct lines touched
-//! since the last touch of its line) is below `C`. Sweeping cache size
-//! therefore only needs the reuse-distance distribution — and instead
-//! of maintaining an exact distance tree, [`ReuseProfiler`] keeps a
-//! *log2 tower* of small true-LRU caches (capacities 1, 2, 4, …,
-//! 2^(L-1) lines) and updates all of them per access. Each level's hit
-//! count is exactly what a fully associative LRU cache of that size
-//! would score, so one streaming pass yields the whole
-//! miss-rate-vs-size curve — the fundamental object of the
-//! cache-utilization literature, and the curve the `ext6` experiment
-//! cross-checks against `CacheSim` at every tower geometry.
-//!
-//! Every level is a few KB of state, so the profiler streams over
-//! corpora of any size (it is an [`AccessSink`], so the out-of-core
-//! chunked replay feeds it directly).
+//! since the last touch of its line) is below `C`. [`ReuseProfiler`]
+//! feeds every line to one exact [`StackDistance`] engine as deep as the
+//! largest capacity and histograms the distances by power-of-two
+//! bucket, so the exact hit count at every capacity 2^l is a prefix sum
+//! — the curve the `ext6` experiment cross-checks against `CacheSim`.
+//! The engine's state is bounded, so the profiler streams over corpora
+//! of any size (as an [`AccessSink`], fed by the out-of-core replay).
 
-use fvl_mem::{Access, AccessSink, WORD_BYTES};
-use std::collections::HashMap;
-use std::fmt;
+use fvl_cache::StackDistance;
+use fvl_mem::{Access, AccessSink};
 
-/// Levels in the default tower: capacities 2^0 .. 2^10 lines, i.e.
-/// 32 B .. 32 KiB of data at the default 32-byte line.
+/// Capacities on the curve: 2^0 .. 2^10 lines, i.e. 32 B .. 32 KiB of
+/// data at the default 32-byte line.
 pub const TOWER_LEVELS: usize = 11;
 
-/// Default line size (bytes) — the paper's DMC line size.
+/// Line size (bytes) the profiler measures at — the paper's DMC line
+/// size.
 pub const DEFAULT_LINE_BYTES: u32 = 32;
-
-/// Slot index meaning "none" in the intrusive LRU lists.
-const NIL: u32 = u32::MAX;
-
-/// One true-LRU cache of the tower: a line → slot map plus an
-/// intrusive doubly-linked recency list over slot arrays, so touch,
-/// insert, and evict are all O(1).
-struct LruLevel {
-    capacity: usize,
-    hits: u64,
-    map: HashMap<u32, u32>,
-    lines: Vec<u32>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    tail: u32,
-}
-
-impl LruLevel {
-    fn new(capacity: usize) -> LruLevel {
-        LruLevel {
-            capacity,
-            hits: 0,
-            map: HashMap::with_capacity(capacity * 2),
-            lines: Vec::with_capacity(capacity),
-            prev: Vec::with_capacity(capacity),
-            next: Vec::with_capacity(capacity),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Unlinks `slot` from the recency list.
-    fn unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p == NIL {
-            self.head = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.tail = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-    }
-
-    /// Links `slot` in as the most-recently-used entry.
-    fn push_front(&mut self, slot: u32) {
-        self.prev[slot as usize] = NIL;
-        self.next[slot as usize] = self.head;
-        if self.head != NIL {
-            self.prev[self.head as usize] = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    /// Touches `line`, returning whether it was resident (a hit for a
-    /// fully associative LRU cache of this capacity).
-    fn access(&mut self, line: u32) -> bool {
-        if let Some(&slot) = self.map.get(&line) {
-            self.hits += 1;
-            if self.head != slot {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
-            return true;
-        }
-        let slot = if self.lines.len() < self.capacity {
-            let slot = self.lines.len() as u32;
-            self.lines.push(line);
-            self.prev.push(NIL);
-            self.next.push(NIL);
-            slot
-        } else {
-            let victim = self.tail;
-            self.unlink(victim);
-            self.map.remove(&self.lines[victim as usize]);
-            self.lines[victim as usize] = line;
-            victim
-        };
-        self.map.insert(line, slot);
-        self.push_front(slot);
-        false
-    }
-}
 
 /// One point of a [`MissCurve`]: the exact fully-associative-LRU hit
 /// and miss counts at one cache size.
@@ -142,12 +46,13 @@ pub struct MissCurve {
     pub line_bytes: u32,
     /// Total accesses profiled.
     pub accesses: u64,
-    /// One point per tower level, capacity ascending.
+    /// One point per capacity 2^0 .. 2^([`TOWER_LEVELS`]-1) lines,
+    /// ascending.
     pub points: Vec<CurvePoint>,
 }
 
-/// Streaming reuse-distance profiler: a log2 tower of true-LRU caches
-/// updated on every access (see the module docs).
+/// Streaming reuse-distance profiler: one [`StackDistance`] engine
+/// and a per-capacity distance histogram (see the module docs).
 ///
 /// # Example
 ///
@@ -164,96 +69,52 @@ pub struct MissCurve {
 /// assert_eq!(curve.points[0].hits, 0); // capacity 1: always thrashing
 /// assert_eq!(curve.points[1].misses, 2); // capacity 2: cold misses only
 /// ```
+#[derive(Debug)]
 pub struct ReuseProfiler {
-    line_bytes: u32,
-    levels: Vec<LruLevel>,
-    accesses: u64,
+    lru: StackDistance,
+    /// `by_level[l]`: accesses that first hit at capacity 2^l, i.e.
+    /// whose distance is below 2^l but not below 2^(l-1). The last
+    /// bucket holds the accesses that miss at every capacity.
+    by_level: [u64; TOWER_LEVELS + 1],
 }
 
 impl ReuseProfiler {
-    /// The default tower: [`TOWER_LEVELS`] levels of
-    /// [`DEFAULT_LINE_BYTES`]-byte lines (32 B .. 32 KiB).
+    /// An empty profiler over capacities 2^0 .. 2^([`TOWER_LEVELS`]-1)
+    /// lines of [`DEFAULT_LINE_BYTES`] bytes (32 B .. 32 KiB).
     pub fn new() -> ReuseProfiler {
-        ReuseProfiler::with_shape(DEFAULT_LINE_BYTES, TOWER_LEVELS)
-    }
-
-    /// A tower of `levels` caches (capacities 2^0 .. 2^(levels-1)
-    /// lines) with `line_bytes`-byte lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `line_bytes` is a power of two of at least one
-    /// word and `levels` is in `1..=24`.
-    pub fn with_shape(line_bytes: u32, levels: usize) -> ReuseProfiler {
-        assert!(
-            line_bytes.is_power_of_two() && line_bytes >= WORD_BYTES,
-            "line size must be a power-of-two number of bytes, got {line_bytes}"
-        );
-        assert!((1..=24).contains(&levels), "tower levels out of range");
         ReuseProfiler {
-            line_bytes,
-            levels: (0..levels).map(|l| LruLevel::new(1 << l)).collect(),
-            accesses: 0,
+            lru: StackDistance::new(1 << (TOWER_LEVELS - 1)),
+            by_level: [0; TOWER_LEVELS + 1],
         }
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u32 {
-        self.line_bytes
-    }
-
-    /// Number of tower levels.
-    pub fn levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Capacity of level `level` in lines (`2^level`).
-    pub fn capacity_lines(&self, level: usize) -> u64 {
-        1u64 << level
-    }
-
-    /// Capacity of level `level` in bytes.
-    pub fn capacity_bytes(&self, level: usize) -> u64 {
-        self.capacity_lines(level) * u64::from(self.line_bytes)
-    }
-
-    /// Total accesses profiled so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Hits a fully associative LRU cache of level `level`'s capacity
-    /// would have scored.
+    /// Hits a fully associative LRU cache of 2^`level` lines would have
+    /// scored.
     pub fn hits(&self, level: usize) -> u64 {
-        self.levels[level].hits
+        self.by_level[..=level].iter().sum()
     }
 
-    /// Misses at level `level` (including cold misses).
+    /// Misses at 2^`level` lines (including cold misses).
     pub fn misses(&self, level: usize) -> u64 {
-        self.accesses - self.levels[level].hits
-    }
-
-    /// Miss rate at level `level`; 0 before any access.
-    pub fn miss_rate(&self, level: usize) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses(level) as f64 / self.accesses as f64
-        }
+        self.by_level[level + 1..].iter().sum()
     }
 
     /// Extracts the full miss-rate-vs-cache-size curve.
     pub fn curve(&self) -> MissCurve {
+        let accesses = self.by_level.iter().sum();
         MissCurve {
-            line_bytes: self.line_bytes,
-            accesses: self.accesses,
-            points: (0..self.levels.len())
+            line_bytes: DEFAULT_LINE_BYTES,
+            accesses,
+            points: (0..TOWER_LEVELS)
                 .map(|l| CurvePoint {
-                    capacity_lines: self.capacity_lines(l),
-                    capacity_bytes: self.capacity_bytes(l),
+                    capacity_lines: 1 << l,
+                    capacity_bytes: u64::from(DEFAULT_LINE_BYTES) << l,
                     hits: self.hits(l),
                     misses: self.misses(l),
-                    miss_rate: self.miss_rate(l),
+                    miss_rate: match accesses {
+                        0 => 0.0,
+                        n => self.misses(l) as f64 / n as f64,
+                    },
                 })
                 .collect(),
         }
@@ -268,21 +129,13 @@ impl Default for ReuseProfiler {
 
 impl AccessSink for ReuseProfiler {
     fn on_access(&mut self, access: Access) {
-        let line = access.addr / self.line_bytes;
-        self.accesses += 1;
-        for level in &mut self.levels {
-            level.access(line);
-        }
-    }
-}
-
-impl fmt::Debug for ReuseProfiler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReuseProfiler")
-            .field("line_bytes", &self.line_bytes)
-            .field("levels", &self.levels.len())
-            .field("accesses", &self.accesses)
-            .finish()
+        // Distance d hits at every capacity 2^l > d, the smallest
+        // being l = bit length of d.
+        let level = match self.lru.access(access.addr / DEFAULT_LINE_BYTES) {
+            Some(d) => (u32::BITS - d.leading_zeros()) as usize,
+            None => TOWER_LEVELS,
+        };
+        self.by_level[level] += 1;
     }
 }
 
@@ -290,24 +143,25 @@ impl fmt::Debug for ReuseProfiler {
 mod tests {
     use super::*;
 
-    /// Exact reuse-distance oracle: full LRU stack as a Vec.
-    fn oracle_hits(lines: &[u32], capacity: usize) -> u64 {
+    /// Exact reuse-distance oracle: full LRU stack as a Vec, one
+    /// distance per access (`None` on a first touch).
+    fn oracle_distances(lines: &[u32]) -> Vec<Option<usize>> {
         let mut stack: Vec<u32> = Vec::new();
-        let mut hits = 0;
-        for &line in lines {
-            if let Some(depth) = stack.iter().position(|&l| l == line) {
-                if depth < capacity {
-                    hits += 1;
+        lines
+            .iter()
+            .map(|&line| {
+                let depth = stack.iter().position(|&l| l == line);
+                if let Some(depth) = depth {
+                    stack.remove(depth);
                 }
-                stack.remove(depth);
-            }
-            stack.insert(0, line);
-        }
-        hits
+                stack.insert(0, line);
+                depth
+            })
+            .collect()
     }
 
     fn profile(lines: &[u32]) -> ReuseProfiler {
-        let mut p = ReuseProfiler::with_shape(32, 6);
+        let mut p = ReuseProfiler::new();
         for &line in lines {
             p.on_access(Access::load(line * 32, 0));
         }
@@ -316,26 +170,29 @@ mod tests {
 
     #[test]
     fn matches_the_stack_distance_oracle() {
-        // Mixed locality: sequential sweeps, hot loop, random-ish jumps.
+        // Mixed locality: sequential sweeps, hot loop, random jumps over
+        // more lines than the largest capacity, long enough for the
+        // engine to compact and evict.
         let mut lines = Vec::new();
         let mut x = 7u32;
-        for i in 0..2000u32 {
+        for i in 0..6000u32 {
             x = x.wrapping_mul(1664525).wrapping_add(1013904223);
             lines.push(match i % 4 {
-                0 => i % 40,       // sweep
-                1 => x % 8,        // hot set
-                2 => x % 100,      // wider set
-                _ => (i / 2) % 17, // strided
+                0 => i % 40,          // sweep
+                1 => x % 8,           // hot set
+                2 => (x >> 8) % 3000, // wide set
+                _ => (i / 2) % 17,    // strided
             });
         }
         let p = profile(&lines);
-        for level in 0..p.levels() {
-            assert_eq!(
-                p.hits(level),
-                oracle_hits(&lines, 1 << level),
-                "capacity {}",
-                1 << level
-            );
+        let distances = oracle_distances(&lines);
+        for level in 0..TOWER_LEVELS {
+            let hits = distances
+                .iter()
+                .flatten()
+                .filter(|&&d| d < 1 << level)
+                .count();
+            assert_eq!(p.hits(level), hits as u64, "capacity {}", 1 << level);
         }
     }
 
@@ -343,12 +200,12 @@ mod tests {
     fn hits_grow_monotonically_with_capacity() {
         let lines: Vec<u32> = (0..500u32).map(|i| (i * i) % 61).collect();
         let p = profile(&lines);
-        for level in 1..p.levels() {
+        for level in 1..TOWER_LEVELS {
             assert!(p.hits(level) >= p.hits(level - 1), "level {level}");
         }
         let curve = p.curve();
         assert_eq!(curve.accesses, 500);
-        assert_eq!(curve.points.len(), p.levels());
+        assert_eq!(curve.points.len(), TOWER_LEVELS);
         assert_eq!(curve.points[0].capacity_bytes, 32);
         for w in curve.points.windows(2) {
             assert!(w[1].miss_rate <= w[0].miss_rate);
@@ -369,15 +226,9 @@ mod tests {
 
     #[test]
     fn empty_profile_has_zero_rates() {
-        let p = ReuseProfiler::new();
-        assert_eq!(p.accesses(), 0);
-        assert_eq!(p.miss_rate(0), 0.0);
-        assert_eq!(p.curve().points[TOWER_LEVELS - 1].misses, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn rejects_unaligned_line_size() {
-        let _ = ReuseProfiler::with_shape(48, 4);
+        let curve = ReuseProfiler::new().curve();
+        assert_eq!(curve.accesses, 0);
+        assert_eq!(curve.points[0].miss_rate, 0.0);
+        assert_eq!(curve.points[TOWER_LEVELS - 1].misses, 0);
     }
 }
