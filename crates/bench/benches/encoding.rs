@@ -1,27 +1,7 @@
-//! Criterion benches: the FVC's encode/decode hot paths.
+//! Criterion benches: the FVC line encode hot path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fvl_core::{CodeArray, FrequentValueSet, FvcLine};
-
-fn bench_code_array(c: &mut Criterion) {
-    let mut group = c.benchmark_group("code_array");
-    for width in [1u32, 3, 7] {
-        group.bench_function(BenchmarkId::new("set_get", width), |b| {
-            let mut array = CodeArray::new(width, 16);
-            b.iter(|| {
-                for i in 0..16 {
-                    array.set(i, (i % (1 << width)) as u8);
-                }
-                let mut acc = 0u32;
-                for i in 0..16 {
-                    acc += array.get(i) as u32;
-                }
-                acc
-            })
-        });
-    }
-    group.finish();
-}
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fvl_core::{FrequentValueSet, FvcLine};
 
 fn bench_line_encode(c: &mut Criterion) {
     let values = FrequentValueSet::new(vec![0, u32::MAX, 1, 2, 4, 8, 10]).unwrap();
@@ -33,16 +13,8 @@ fn bench_line_encode(c: &mut Criterion) {
     group.bench_function("encode", |b| {
         b.iter(|| FvcLine::encode(0x1000, &line, &values).frequent_count())
     });
-    let encoded = FvcLine::encode(0x1000, &line, &values);
-    group.bench_function("merge", |b| {
-        b.iter(|| {
-            let mut buf = [7u32; 8];
-            encoded.merge_into(&mut buf, &values);
-            buf[0]
-        })
-    });
     group.finish();
 }
 
-criterion_group!(benches, bench_code_array, bench_line_encode);
+criterion_group!(benches, bench_line_encode);
 criterion_main!(benches);

@@ -18,7 +18,7 @@ use fvl_cache::{CacheGeometry, CacheSim, ReplacementKind, WritePolicy};
 use fvl_mem::frame::{
     kv_get, parse_kv, read_frame, write_frame, ErrorCode, Frame, FrameKind, FrameReadError,
 };
-use fvl_mem::{MappedTrace, PackedTrace};
+use fvl_mem::{AccessKind, MappedTrace, PackedTrace, SimMemory};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -451,13 +451,37 @@ impl RemoteRunner {
 /// `corpus sim` local mode and the daemon's trace-upload handler use,
 /// so a file means the same thing on both sides by construction.
 ///
+/// A well-formed file is also checked for consistency: every load must
+/// expect the value the trace last stored at its address (zero before
+/// any store), because the simulators assert exactly that on every
+/// load.
+///
 /// # Errors
 ///
 /// The underlying reader's validation error when no format accepts
-/// the bytes.
+/// the bytes, or [`io::ErrorKind::InvalidData`] naming the first load
+/// that disagrees with the trace's own stores.
 pub fn parse_trace_bytes(bytes: &[u8]) -> io::Result<PackedTrace> {
-    PackedTrace::read_from(bytes)
-        .or_else(|_| MappedTrace::from_bytes(bytes.to_vec()).and_then(|m| m.to_packed()))
+    let trace = PackedTrace::read_from(bytes)
+        .or_else(|_| MappedTrace::from_bytes(bytes.to_vec()).and_then(|m| m.to_packed()))?;
+    let mut memory = SimMemory::new();
+    for access in trace.iter_accesses() {
+        let held = memory.read(access.addr);
+        match access.kind {
+            AccessKind::Store => memory.write(access.addr, access.value),
+            AccessKind::Load if held != access.value => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "load at {:#x} expects {:#x} but the trace's stores leave {held:#x} there",
+                        access.addr, access.value
+                    ),
+                ));
+            }
+            AccessKind::Load => {}
+        }
+    }
+    Ok(trace)
 }
 
 /// Simulates `trace` against one cache configuration given as

@@ -9,6 +9,15 @@ use std::fmt;
 /// the paper equates miss-rate reduction with off-chip traffic (and hence
 /// power) reduction.
 ///
+/// The tag-only sinks ([`crate::CacheSim`] and the hybrid controllers in
+/// `fvl-core`) keep it as their *architectural image*: every store
+/// updates it at once through [`MainMemory::poke`], so it always holds
+/// the value a load must see, and their fetches and write-backs only
+/// count the words the modelled bus moves ([`MainMemory::count_fetch`],
+/// [`MainMemory::count_write_back`]). Sinks whose lines carry data
+/// move real words with [`MainMemory::read_line`] and
+/// [`MainMemory::write_line`].
+///
 /// # Example
 ///
 /// ```
@@ -52,19 +61,45 @@ impl MainMemory {
         self.words_in += data.len() as u64;
     }
 
-    /// Writes a single word back (partial write-back, used when the FVC
-    /// flushes only its frequent words). Counts one word of traffic.
+    /// Writes a single word through to memory (a write-through store).
+    /// Counts one word of traffic.
     pub fn write_word(&mut self, addr: Addr, value: Word) {
         self.mem.write(addr, value);
         self.words_in += 1;
     }
 
-    /// Peeks at a word without counting traffic (for assertions/tests).
+    /// Counts a fetch of `words` words into the cache hierarchy without
+    /// moving data (the tag-only sinks read values from the image).
+    #[inline]
+    pub fn count_fetch(&mut self, words: u64) {
+        self.words_out += words;
+    }
+
+    /// Counts a write-back of `words` words without moving data (the
+    /// image already holds them).
+    #[inline]
+    pub fn count_write_back(&mut self, words: u64) {
+        self.words_in += words;
+    }
+
+    /// Reads a word without counting traffic.
+    #[inline]
     pub fn peek(&self, addr: Addr) -> Word {
         self.mem.read(addr)
     }
 
-    /// Pokes a word without counting traffic (test setup).
+    /// Reads `buf.len()` consecutive words from `line_addr` without
+    /// counting traffic (the line contents a content-sensitive policy
+    /// or the FVC insert inspects).
+    pub fn peek_line(&self, line_addr: Addr, buf: &mut [Word]) {
+        for (i, slot) in buf.iter_mut().enumerate() {
+            *slot = self.mem.read(line_addr + i as u32 * WORD_BYTES);
+        }
+    }
+
+    /// Writes a word without counting traffic: an architectural store
+    /// into the image, or test setup.
+    #[inline]
     pub fn poke(&mut self, addr: Addr, value: Word) {
         self.mem.write(addr, value);
     }
@@ -116,7 +151,20 @@ mod tests {
         let mut m = MainMemory::new();
         m.poke(0x10, 3);
         assert_eq!(m.peek(0x10), 3);
+        let mut line = [9; 4];
+        m.peek_line(0x10, &mut line);
+        assert_eq!(line, [3, 0, 0, 0]);
         assert_eq!(m.total_traffic_words(), 0);
+    }
+
+    #[test]
+    fn counted_moves_touch_no_data() {
+        let mut m = MainMemory::new();
+        m.poke(0x20, 5);
+        m.count_fetch(8);
+        m.count_write_back(3);
+        assert_eq!((m.words_out(), m.words_in()), (8, 3));
+        assert_eq!(m.peek(0x20), 5);
     }
 
     #[test]

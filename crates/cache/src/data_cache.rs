@@ -1,70 +1,100 @@
-//! Set-associative write-back data cache with pluggable replacement.
+//! Set-associative write-back cache state: tags, dirty bits and
+//! pluggable replacement, with no line data.
 
+use crate::backing::MainMemory;
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Replacement, ReplacementKind, ReplacementPolicy};
 use fvl_mem::{Addr, Word};
 use std::fmt;
 
-#[derive(Clone)]
-struct Line {
-    /// Full line address (tag + index bits); comparing line addresses is
-    /// equivalent to comparing tags within a set.
-    line_addr: Addr,
-    valid: bool,
-    dirty: bool,
-    data: Box<[Word]>,
+/// Tag of an empty way. Line addresses are word aligned, so no valid
+/// line address has bit 0 set.
+const EMPTY: Addr = 1;
+
+/// The first way of `ways` holding `tag`. Wide sets (fully-associative
+/// geometries) are compared 16 tags at a time into a bit mask, a loop
+/// without early exit that compiles to vector compares.
+#[inline]
+fn find(ways: &[Addr], tag: Addr) -> Option<usize> {
+    if ways.len() < 16 {
+        return ways.iter().position(|&t| t == tag);
+    }
+    ways.chunks_exact(16).enumerate().find_map(|(chunk, tags)| {
+        let hits = tags
+            .iter()
+            .enumerate()
+            .fold(0u32, |mask, (i, &t)| mask | u32::from(t == tag) << i);
+        (hits != 0).then(|| chunk * 16 + hits.trailing_zeros() as usize)
+    })
 }
 
-/// A line evicted from a cache, carrying everything needed to write it
-/// back or to forward it to a victim/frequent-value cache.
+/// The tag and dirty bit of a line leaving (or resident in) a
+/// [`DataCache`]: everything a controller needs to count its
+/// write-back or forward it to a frequent value cache, whose words it
+/// reads from the architectural image.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
+pub struct LineTag {
+    /// Address of the first byte of the line.
+    pub line_addr: Addr,
+    /// Whether the line was modified since it was fetched.
+    pub dirty: bool,
+}
+
+/// A line handed to or taken from a [`crate::VictimCache`].
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct EvictedLine {
     /// Address of the first byte of the line.
     pub line_addr: Addr,
     /// Whether the line was modified since it was fetched.
     pub dirty: bool,
-    /// The line's words.
+    /// The line's words when the caller models them; empty for the
+    /// tag-only controllers, which read words from the image.
     pub data: Vec<Word>,
 }
 
-/// A read-only view of a valid cache line (for occupancy statistics).
-#[derive(Copy, Clone, Debug)]
-pub struct LineRef<'a> {
-    /// Address of the first byte of the line.
-    pub line_addr: Addr,
-    /// Whether the line is dirty.
-    pub dirty: bool,
-    /// The line's words.
-    pub data: &'a [Word],
-}
-
-/// A set-associative cache holding real line data, with victim
-/// selection delegated to a [`ReplacementKind`] policy (true LRU by
-/// default — see [`crate::replacement`] for the zoo).
+/// The tag/dirty/replacement state machine of a set-associative cache,
+/// with victim selection delegated to a [`ReplacementKind`] policy
+/// (true LRU by default — see [`crate::replacement`] for the zoo).
 ///
-/// `DataCache` is a passive structure: it never talks to memory itself.
-/// Controllers ([`crate::CacheSim`], the hybrid controllers in
-/// `fvl-core`) decide when to fetch, install, and write back, which keeps
-/// each policy in exactly one place.
+/// It stores no line data. In a single-level write-back cache a
+/// resident line always holds the architectural value of its words, so
+/// hits, misses and traffic depend only on tags and dirty bits; the
+/// controllers keep the values in one [`MainMemory`] image and hand it
+/// in where contents matter (the [`ReplacementKind::PinnedLru`] hooks).
+/// Tags are stored struct-of-arrays, so a probe scans a dense `u32`
+/// column — the whole cache for a fully-associative geometry.
+///
+/// `DataCache` never talks to memory itself. Controllers
+/// ([`crate::CacheSim`], the hybrid controllers in `fvl-core`) decide
+/// when to fetch, install and write back, which keeps each policy in
+/// exactly one place.
 ///
 /// # Example
 ///
 /// ```
-/// use fvl_cache::{CacheGeometry, DataCache};
+/// use fvl_cache::{CacheGeometry, DataCache, MainMemory};
 ///
+/// let image = MainMemory::new();
 /// let mut dmc = DataCache::new(CacheGeometry::new(1024, 16, 1)?);
 /// assert!(dmc.probe(0x40).is_none());
-/// dmc.install(0x40, &[1, 2, 3, 4], false);
-/// let idx = dmc.probe(0x44).expect("line resident");
-/// assert_eq!(dmc.read_word(idx, 0x44), 2);
+/// let (slot, evicted) = dmc.install(0x40, false, &image);
+/// assert!(evicted.is_none());
+/// assert_eq!(dmc.probe(0x44), Some(slot));
 /// # Ok::<(), fvl_cache::GeometryError>(())
 /// ```
 #[derive(Clone)]
 pub struct DataCache {
     geom: CacheGeometry,
-    lines: Vec<Line>,
+    /// log2 of the associativity: slot = set << way_shift | way.
+    way_shift: u32,
+    /// Line address per slot (set-major), [`EMPTY`] for an invalid way.
+    tags: Vec<Addr>,
+    dirty: Vec<bool>,
     kind: ReplacementKind,
     policy: Replacement,
+    /// Buffer for the line words a content-sensitive policy reads from
+    /// the image; empty (and never filled) for every other policy.
+    contents: Vec<Word>,
 }
 
 impl DataCache {
@@ -77,20 +107,19 @@ impl DataCache {
     /// Creates an empty cache of the given geometry using the given
     /// replacement policy.
     pub fn with_replacement(geom: CacheGeometry, kind: ReplacementKind) -> Self {
-        let wpl = geom.words_per_line() as usize;
-        let lines = (0..geom.lines())
-            .map(|_| Line {
-                line_addr: 0,
-                valid: false,
-                dirty: false,
-                data: vec![0; wpl].into_boxed_slice(),
-            })
-            .collect();
+        let lines = geom.lines() as usize;
+        let contents = match kind {
+            ReplacementKind::PinnedLru => vec![0; geom.words_per_line() as usize],
+            _ => Vec::new(),
+        };
         DataCache {
             geom,
-            lines,
+            way_shift: geom.associativity().trailing_zeros(),
+            tags: vec![EMPTY; lines],
+            dirty: vec![false; lines],
             kind,
             policy: kind.build(&geom),
+            contents,
         }
     }
 
@@ -108,15 +137,17 @@ impl DataCache {
     /// the replacement policy speaks.
     #[inline]
     fn set_way(&self, slot: usize) -> (u32, u32) {
-        let assoc = self.geom.associativity() as usize;
-        ((slot / assoc) as u32, (slot % assoc) as u32)
+        let way_mask = (1 << self.way_shift) - 1;
+        ((slot >> self.way_shift) as u32, (slot & way_mask) as u32)
     }
 
+    /// Loads the words of `line_addr` from `image` into the policy-hook
+    /// buffer, if the policy inspects contents (else it stays empty).
     #[inline]
-    fn set_range(&self, addr: Addr) -> std::ops::Range<usize> {
-        let set = self.geom.set_index(addr) as usize;
-        let assoc = self.geom.associativity() as usize;
-        set * assoc..(set + 1) * assoc
+    fn gather(&mut self, line_addr: Addr, image: &MainMemory) {
+        if !self.contents.is_empty() {
+            image.peek_line(line_addr, &mut self.contents);
+        }
     }
 
     /// Looks up the line containing `addr`. Returns an opaque slot index
@@ -138,12 +169,8 @@ impl DataCache {
     /// Panics if `set` is out of range for the geometry.
     #[inline]
     pub fn probe_at(&self, set: u32, line_addr: Addr) -> Option<usize> {
-        let assoc = self.geom.associativity() as usize;
-        let start = set as usize * assoc;
-        self.lines[start..start + assoc]
-            .iter()
-            .position(|l| l.valid && l.line_addr == line_addr)
-            .map(|way| start + way)
+        let start = (set as usize) << self.way_shift;
+        find(&self.tags[start..start + (1 << self.way_shift)], line_addr).map(|way| start + way)
     }
 
     /// Reports the hit in `slot` to the replacement policy (most-
@@ -154,44 +181,28 @@ impl DataCache {
         self.policy.touch(set, way);
     }
 
-    /// Reads the word at `addr` from the resident line in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` does not hold the line containing `addr`.
+    /// Records a store into the resident line in `slot`: marks it dirty
+    /// and lets a content-sensitive policy re-read the line from
+    /// `image`, which must already hold the stored word.
     #[inline]
-    pub fn read_word(&self, slot: usize, addr: Addr) -> Word {
-        let line = &self.lines[slot];
-        debug_assert!(line.valid && line.line_addr == self.geom.line_addr(addr));
-        line.data[self.geom.word_offset(addr) as usize]
-    }
-
-    /// Writes the word at `addr` into the resident line in `slot` and
-    /// marks it dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` does not hold the line containing `addr`.
-    #[inline]
-    pub fn write_word(&mut self, slot: usize, addr: Addr, value: Word) {
-        let off = self.geom.word_offset(addr) as usize;
-        let line = &mut self.lines[slot];
-        debug_assert!(line.valid && line.line_addr == self.geom.line_addr(addr));
-        line.data[off] = value;
+    pub fn write(&mut self, slot: usize, image: &MainMemory) {
+        debug_assert_ne!(self.tags[slot], EMPTY, "write to an invalid line");
         // `seeded-bugs` is a TEST-ONLY mutation used by the `fvl-check`
         // conformance harness: the dirty bit is dropped, so modified
         // lines are silently discarded instead of written back.
         #[cfg(not(feature = "seeded-bugs"))]
         {
-            line.dirty = true;
+            self.dirty[slot] = true;
         }
+        self.gather(self.tags[slot], image);
         let (set, way) = self.set_way(slot);
-        let line = &self.lines[slot];
-        self.policy.write(set, way, &line.data);
+        self.policy.write(set, way, &self.contents);
     }
 
     /// Installs a line, evicting the policy's chosen victim if the set
-    /// is full. Returns the evicted line (valid victims only).
+    /// is full. Returns the line's slot and the evicted line (valid
+    /// victims only). A content-sensitive policy reads the new line's
+    /// words from `image`.
     ///
     /// Invalid ways are always filled first, lowest index first; the
     /// replacement policy only picks among full sets. This rule is part
@@ -200,15 +211,15 @@ impl DataCache {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is not exactly one line long, or if the line is
+    /// Panics if `line_addr` is not a line address, or if the line is
     /// already resident (installing a duplicate would break the
     /// one-copy invariant).
-    pub fn install(&mut self, line_addr: Addr, data: &[Word], dirty: bool) -> Option<EvictedLine> {
-        assert_eq!(
-            data.len(),
-            self.geom.words_per_line() as usize,
-            "wrong line length"
-        );
+    pub fn install(
+        &mut self,
+        line_addr: Addr,
+        dirty: bool,
+        image: &MainMemory,
+    ) -> (usize, Option<LineTag>) {
         assert_eq!(
             line_addr,
             self.geom.line_addr(line_addr),
@@ -218,39 +229,31 @@ impl DataCache {
             self.probe(line_addr).is_none(),
             "line {line_addr:#x} already resident"
         );
-        let range = self.set_range(line_addr);
-        let set = (range.start / self.geom.associativity() as usize) as u32;
+        let set = self.geom.set_index(line_addr);
+        let start = (set as usize) << self.way_shift;
         // Fill the lowest-index invalid way first, else ask the policy.
-        let slot = self.lines[range.clone()]
-            .iter()
-            .position(|l| !l.valid)
-            .map(|w| range.start + w)
-            .unwrap_or_else(|| {
+        let way = match find(&self.tags[start..start + (1 << self.way_shift)], EMPTY) {
+            Some(way) => way as u32,
+            None => {
                 let way = self.policy.victim(set);
                 assert!(
                     way < self.geom.associativity(),
                     "policy picked way {way} of {}",
                     self.geom.associativity()
                 );
-                range.start + way as usize
-            });
-        let evicted = if self.lines[slot].valid {
-            Some(EvictedLine {
-                line_addr: self.lines[slot].line_addr,
-                dirty: self.lines[slot].dirty,
-                data: self.lines[slot].data.to_vec(),
-            })
-        } else {
-            None
+                way
+            }
         };
-        let line = &mut self.lines[slot];
-        line.line_addr = line_addr;
-        line.valid = true;
-        line.dirty = dirty;
-        line.data.copy_from_slice(data);
-        let way = (slot - range.start) as u32;
-        self.policy.fill(set, way, line_addr, data);
-        evicted
+        let slot = start + way as usize;
+        let evicted = (self.tags[slot] != EMPTY).then(|| LineTag {
+            line_addr: self.tags[slot],
+            dirty: self.dirty[slot],
+        });
+        self.tags[slot] = line_addr;
+        self.dirty[slot] = dirty;
+        self.gather(line_addr, image);
+        self.policy.fill(set, way, line_addr, &self.contents);
+        (slot, evicted)
     }
 
     /// Clears the dirty bit of the line in `slot` (write-through mode
@@ -260,8 +263,8 @@ impl DataCache {
     ///
     /// Panics if the slot is invalid.
     pub fn clean(&mut self, slot: usize) {
-        assert!(self.lines[slot].valid, "clean on invalid line");
-        self.lines[slot].dirty = false;
+        assert_ne!(self.tags[slot], EMPTY, "clean on invalid line");
+        self.dirty[slot] = false;
     }
 
     /// Removes and returns the line in `slot` (used for victim-cache
@@ -270,49 +273,38 @@ impl DataCache {
     /// # Panics
     ///
     /// Panics if the slot is invalid.
-    pub fn take(&mut self, slot: usize) -> EvictedLine {
-        let line = &mut self.lines[slot];
-        assert!(line.valid, "take on invalid line");
-        line.valid = false;
-        let taken = EvictedLine {
-            line_addr: line.line_addr,
-            dirty: line.dirty,
-            data: line.data.to_vec(),
-        };
+    pub fn take(&mut self, slot: usize) -> LineTag {
+        let line_addr = std::mem::replace(&mut self.tags[slot], EMPTY);
+        assert_ne!(line_addr, EMPTY, "take on invalid line");
         let (set, way) = self.set_way(slot);
         self.policy.invalidate(set, way);
-        taken
+        LineTag {
+            line_addr,
+            dirty: self.dirty[slot],
+        }
     }
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> u32 {
-        self.lines.iter().filter(|l| l.valid).count() as u32
+        self.tags.iter().filter(|&&tag| tag != EMPTY).count() as u32
     }
 
     /// Iterates over all valid lines.
-    pub fn iter_valid(&self) -> impl Iterator<Item = LineRef<'_>> {
-        self.lines.iter().filter(|l| l.valid).map(|l| LineRef {
-            line_addr: l.line_addr,
-            dirty: l.dirty,
-            data: &l.data,
-        })
+    pub fn iter_valid(&self) -> impl Iterator<Item = LineTag> + '_ {
+        self.tags
+            .iter()
+            .zip(&self.dirty)
+            .filter(|&(&tag, _)| tag != EMPTY)
+            .map(|(&line_addr, &dirty)| LineTag { line_addr, dirty })
     }
 
     /// Drains every valid line (end-of-simulation flush). The cache is
     /// left empty.
-    pub fn drain(&mut self) -> Vec<EvictedLine> {
+    pub fn drain(&mut self) -> Vec<LineTag> {
         let mut out = Vec::new();
-        for slot in 0..self.lines.len() {
-            let line = &mut self.lines[slot];
-            if line.valid {
-                line.valid = false;
-                out.push(EvictedLine {
-                    line_addr: line.line_addr,
-                    dirty: line.dirty,
-                    data: line.data.to_vec(),
-                });
-                let (set, way) = self.set_way(slot);
-                self.policy.invalidate(set, way);
+        for slot in 0..self.tags.len() {
+            if self.tags[slot] != EMPTY {
+                out.push(self.take(slot));
             }
         }
         out
@@ -339,19 +331,34 @@ mod tests {
 
     #[test]
     fn probe_miss_then_install_then_hit() {
+        let image = MainMemory::new();
         let mut c = dm_1k();
         assert!(c.probe(0x100).is_none());
-        assert!(c.install(0x100, &[1, 2, 3, 4], false).is_none());
-        let slot = c.probe(0x108).unwrap();
-        assert_eq!(c.read_word(slot, 0x108), 3);
+        let (slot, evicted) = c.install(0x100, false, &image);
+        assert!(evicted.is_none());
+        assert_eq!(c.probe(0x108), Some(slot));
         assert_eq!(c.valid_lines(), 1);
     }
 
     #[test]
+    fn wide_sets_find_the_first_matching_way() {
+        for len in [1usize, 15, 16, 64, 1024] {
+            let mut ways = vec![EMPTY; len];
+            assert_eq!(find(&ways, 0x40), None, "{len}");
+            assert_eq!(find(&ways, EMPTY), Some(0), "{len}");
+            ways[len - 1] = 0x40;
+            assert_eq!(find(&ways, 0x40), Some(len - 1), "{len}");
+            ways[len / 2] = 0x40;
+            assert_eq!(find(&ways, 0x40), Some(len / 2), "{len}");
+        }
+    }
+
+    #[test]
     fn probe_at_matches_probe() {
+        let image = MainMemory::new();
         let mut c = DataCache::new(CacheGeometry::new(512, 16, 2).unwrap());
-        c.install(0x100, &[1; 4], false);
-        c.install(0x300, &[2; 4], true);
+        c.install(0x100, false, &image);
+        c.install(0x300, true, &image);
         let g = *c.geometry();
         for addr in (0u32..0x500).step_by(4) {
             assert_eq!(
@@ -364,54 +371,58 @@ mod tests {
 
     #[test]
     fn conflicting_install_evicts_and_reports() {
+        let image = MainMemory::new();
         let mut c = dm_1k();
-        c.install(0x100, &[1, 1, 1, 1], false);
-        let slot = c.probe(0x100).unwrap();
-        c.write_word(slot, 0x104, 9);
+        let (slot, _) = c.install(0x100, false, &image);
+        c.write(slot, &image);
         // 0x100 + 1024 maps to the same set in a 1KB DM cache.
-        let evicted = c.install(0x100 + 1024, &[2, 2, 2, 2], false).unwrap();
-        assert_eq!(evicted.line_addr, 0x100);
-        assert!(evicted.dirty);
-        assert_eq!(evicted.data, vec![1, 9, 1, 1]);
+        let (_, evicted) = c.install(0x100 + 1024, false, &image);
+        assert_eq!(
+            evicted,
+            Some(LineTag {
+                line_addr: 0x100,
+                dirty: true
+            })
+        );
         assert!(c.probe(0x100).is_none());
         assert!(c.probe(0x100 + 1024).is_some());
     }
 
     #[test]
     fn lru_evicts_least_recent_in_set() {
-        // 2-way, one set touches both ways.
+        let image = MainMemory::new();
+        // 64B 2-way: two sets; 0x00, 0x40 and 0x80 all map to set 0.
         let mut c = DataCache::new(CacheGeometry::new(64, 16, 2).unwrap());
-        // Two sets; addresses 0x00 and 0x20 share set 0.
-        c.install(0x00, &[0; 4], false);
-        c.install(0x40, &[1; 4], false); // also set 0 (64B cache, 2 sets? verify below)
+        c.install(0x00, false, &image);
+        c.install(0x40, false, &image);
         let s0 = c.geometry().set_index(0x00);
         let s1 = c.geometry().set_index(0x40);
         assert_eq!(s0, s1, "test assumes same set");
         // Touch 0x00 so 0x40 becomes LRU.
         let slot = c.probe(0x00).unwrap();
         c.touch(slot);
-        let evicted = c.install(0x80, &[2; 4], false).unwrap();
-        assert_eq!(evicted.line_addr, 0x40);
+        let (_, evicted) = c.install(0x80, false, &image);
+        assert_eq!(evicted.unwrap().line_addr, 0x40);
         assert!(c.probe(0x00).is_some());
     }
 
     #[test]
-    fn write_marks_dirty_and_data_round_trips() {
+    fn write_marks_dirty_and_clean_clears_it() {
+        let image = MainMemory::new();
         let mut c = dm_1k();
-        c.install(0x200, &[5, 6, 7, 8], false);
-        let slot = c.probe(0x204).unwrap();
-        c.write_word(slot, 0x204, 66);
-        assert_eq!(c.read_word(slot, 0x204), 66);
-        let line = c.iter_valid().next().unwrap();
-        assert!(line.dirty);
-        assert_eq!(line.data, &[5, 66, 7, 8]);
+        let (slot, _) = c.install(0x200, false, &image);
+        assert!(!c.iter_valid().next().unwrap().dirty);
+        c.write(slot, &image);
+        assert!(c.iter_valid().next().unwrap().dirty);
+        c.clean(slot);
+        assert!(!c.iter_valid().next().unwrap().dirty);
     }
 
     #[test]
     fn take_removes_line() {
+        let image = MainMemory::new();
         let mut c = dm_1k();
-        c.install(0x300, &[1, 2, 3, 4], true);
-        let slot = c.probe(0x300).unwrap();
+        let (slot, _) = c.install(0x300, true, &image);
         let line = c.take(slot);
         assert_eq!(line.line_addr, 0x300);
         assert!(line.dirty);
@@ -421,9 +432,10 @@ mod tests {
 
     #[test]
     fn drain_empties_cache() {
+        let image = MainMemory::new();
         let mut c = dm_1k();
-        c.install(0x000, &[0; 4], false);
-        c.install(0x010, &[0; 4], true);
+        c.install(0x000, false, &image);
+        c.install(0x010, true, &image);
         let drained = c.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(c.valid_lines(), 0);
@@ -433,15 +445,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "already resident")]
     fn duplicate_install_panics() {
+        let image = MainMemory::new();
         let mut c = dm_1k();
-        c.install(0x100, &[0; 4], false);
-        c.install(0x100, &[0; 4], false);
+        c.install(0x100, false, &image);
+        c.install(0x100, false, &image);
     }
 
     #[test]
-    #[should_panic(expected = "wrong line length")]
-    fn wrong_length_install_panics() {
+    #[should_panic(expected = "not a line address")]
+    fn unaligned_install_panics() {
         let mut c = dm_1k();
-        c.install(0x100, &[0; 3], false);
+        c.install(0x104, false, &MainMemory::new());
     }
 }

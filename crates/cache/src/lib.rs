@@ -4,11 +4,14 @@
 //! ASPLOS 2000 FVC paper ran its evaluation on:
 //!
 //! * [`CacheGeometry`] — size / line size / associativity arithmetic.
-//! * [`DataCache`] — a set-associative cache that stores real line
-//!   *data* (the frequent value cache needs values, not just tags).
+//! * [`DataCache`] — a set-associative cache's tag, dirty-bit and
+//!   replacement state. It holds no line data: a resident line always
+//!   holds the architectural values, which the controllers keep in one
+//!   [`MainMemory`] image.
 //! * [`replacement`] — the replacement-policy zoo ([`ReplacementKind`]:
 //!   true LRU, seeded random, SHiP-lite RRIP, value-pinned LRU).
-//! * [`MainMemory`] — backing store with word-level traffic accounting.
+//! * [`MainMemory`] — the architectural memory image, with word-level
+//!   counts of the traffic the modelled bus moves.
 //! * [`VictimCache`] — Jouppi's fully-associative swap-on-hit buffer
 //!   (the Figure 15 baseline).
 //! * [`StackDistance`] — the exact, bounded LRU stack-distance engine:
@@ -53,7 +56,7 @@ mod victim;
 
 pub use backing::MainMemory;
 pub use classify::{MissClass, MissClassifier};
-pub use data_cache::{DataCache, EvictedLine, LineRef};
+pub use data_cache::{DataCache, EvictedLine, LineTag};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use replacement::{Replacement, ReplacementKind, ReplacementPolicy};
 pub use sim::{CacheSim, WritePolicy};

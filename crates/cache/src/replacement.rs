@@ -15,8 +15,8 @@
 //!
 //! # Contract
 //!
-//! A policy is pure per-set bookkeeping: it never touches line data or
-//! talks to memory. [`crate::DataCache`] drives it through five hooks —
+//! A policy is pure per-set bookkeeping: it never touches memory.
+//! [`crate::DataCache`] drives it through five hooks —
 //! [`fill`](ReplacementPolicy::fill) when a line is installed,
 //! [`touch`](ReplacementPolicy::touch) on every hit,
 //! [`write`](ReplacementPolicy::write) after a store changes a resident
@@ -26,6 +26,12 @@
 //! called **only when every way of the set is valid**: the cache always
 //! fills the lowest-index invalid way first, so policies never see
 //! half-empty sets and the reference oracle can mirror the same rule.
+//!
+//! The cache holds no line data, so the words `fill` and `write` pass
+//! come from the controller's architectural image ([`crate::MainMemory`]).
+//! The cache reads them only for the content-sensitive
+//! [`ReplacementKind::PinnedLru`]; every other policy is handed an
+//! empty slice.
 //!
 //! # Determinism and seeding
 //!
@@ -41,20 +47,22 @@
 //! # Example
 //!
 //! ```
-//! use fvl_cache::{CacheGeometry, DataCache, ReplacementKind};
+//! use fvl_cache::{CacheGeometry, DataCache, MainMemory, ReplacementKind};
 //!
 //! // A 2-way set with ways filled in order 0x000 then 0x400: LRU evicts
 //! // the older line, pinned-LRU refuses to evict the all-zero one.
+//! let mut image = MainMemory::new();
+//! image.poke(0x404, 6); // line 0x000 stays all-zero: pinnable
 //! let geom = CacheGeometry::new(512, 16, 2)?;
 //! for (kind, expect_victim) in [
 //!     (ReplacementKind::Lru, 0x000),
 //!     (ReplacementKind::PinnedLru, 0x400),
 //! ] {
 //!     let mut cache = DataCache::with_replacement(geom, kind);
-//!     cache.install(0x000, &[0, 0, 0, 0], false); // all-zero: pinnable
-//!     cache.install(0x400, &[5, 6, 7, 8], false);
-//!     let evicted = cache.install(0x800, &[1; 4], false).unwrap();
-//!     assert_eq!(evicted.line_addr, expect_victim, "{kind}");
+//!     cache.install(0x000, false, &image);
+//!     cache.install(0x400, false, &image);
+//!     let (_, evicted) = cache.install(0x800, false, &image);
+//!     assert_eq!(evicted.unwrap().line_addr, expect_victim, "{kind}");
 //! }
 //! # Ok::<(), fvl_cache::GeometryError>(())
 //! ```
@@ -75,15 +83,17 @@ pub const DEFAULT_RANDOM_SEED: u64 = 0x5EED_CACE;
 pub trait ReplacementPolicy {
     /// A line was installed into `way` of `set`. `line_addr` and the
     /// installed `data` are provided for policies keyed on the address
-    /// (RRIP signatures) or the contents (value pinning).
+    /// (RRIP signatures) or the contents (value pinning); `data` is
+    /// read from the image for content-sensitive policies only and is
+    /// empty otherwise.
     fn fill(&mut self, set: u32, way: u32, line_addr: Addr, data: &[Word]);
 
     /// The line in `way` of `set` was hit by a load or store.
     fn touch(&mut self, set: u32, way: u32);
 
     /// A store changed the resident line in `way` of `set`; `data` is
-    /// the line's words **after** the write. Only content-sensitive
-    /// policies (value pinning) care.
+    /// the line's words **after** the write (empty unless the policy is
+    /// content-sensitive). Only value pinning cares.
     fn write(&mut self, set: u32, way: u32, data: &[Word]);
 
     /// The line in `way` of `set` was removed without an eviction

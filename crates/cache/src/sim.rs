@@ -6,7 +6,7 @@ use crate::data_cache::DataCache;
 use crate::geometry::CacheGeometry;
 use crate::replacement::ReplacementKind;
 use crate::stats::CacheStats;
-use fvl_mem::{Access, AccessBlock, AccessKind, AccessSink, Addr, Word, ACCESS_BLOCK};
+use fvl_mem::{Access, AccessBlock, AccessKind, AccessSink, Addr, ACCESS_BLOCK};
 use std::fmt;
 
 /// How stores propagate to memory.
@@ -27,10 +27,12 @@ pub enum WritePolicy {
 /// A write-back, write-allocate cache in front of a [`MainMemory`],
 /// driven by an access trace.
 ///
-/// With associativity 1 this is the paper's baseline DMC. The simulator
-/// stores real data and, by default, *verifies* on every load that the
-/// value it would return matches the value recorded in the trace — a
-/// built-in coherence oracle that catches controller bugs immediately.
+/// With associativity 1 this is the paper's baseline DMC. The cache
+/// itself is a tag-only [`DataCache`]; the memory is the architectural
+/// image every store updates at once, and by default the simulator
+/// *verifies* on every load that the image holds the value recorded in
+/// the trace — a built-in coherence oracle for the trace, since the
+/// value a resident line would return is always the image's.
 ///
 /// # Example
 ///
@@ -53,14 +55,12 @@ pub struct CacheSim {
     classifier: Option<MissClassifier>,
     policy: WritePolicy,
     verify_values: bool,
-    line_buf: Vec<Word>,
     flushed: bool,
 }
 
 impl CacheSim {
     /// Creates a simulator over an all-zero main memory.
     pub fn new(geom: CacheGeometry) -> Self {
-        let wpl = geom.words_per_line() as usize;
         CacheSim {
             cache: DataCache::new(geom),
             memory: MainMemory::new(),
@@ -68,7 +68,6 @@ impl CacheSim {
             classifier: None,
             policy: WritePolicy::WriteBack,
             verify_values: true,
-            line_buf: vec![0; wpl],
             flushed: false,
         }
     }
@@ -128,7 +127,8 @@ impl CacheSim {
         self.cache.geometry()
     }
 
-    /// The backing memory (for traffic counters).
+    /// The backing memory: the architectural image and the traffic
+    /// counters.
     pub fn memory(&self) -> &MainMemory {
         &self.memory
     }
@@ -143,11 +143,16 @@ impl CacheSim {
         self.memory.total_traffic_words()
     }
 
+    fn words_per_line(&self) -> u64 {
+        u64::from(self.cache.geometry().words_per_line())
+    }
+
     /// Writes every dirty line back to memory and empties the cache.
     pub fn flush(&mut self) {
+        let wpl = self.words_per_line();
         for line in self.cache.drain() {
             if line.dirty {
-                self.memory.write_line(line.line_addr, &line.data);
+                self.memory.count_write_back(wpl);
                 self.stats.writebacks += 1;
             }
         }
@@ -180,8 +185,8 @@ impl CacheSim {
             (Some(slot), AccessKind::Load) => {
                 self.stats.read_hits += 1;
                 self.cache.touch(slot);
-                let value = self.cache.read_word(slot, addr);
                 if self.verify_values {
+                    let value = self.memory.peek(addr);
                     assert_eq!(
                         value, access.value,
                         "cache returned {value:#x} but trace expects {:#x} at {addr:#x}",
@@ -194,14 +199,15 @@ impl CacheSim {
                 self.cache.touch(slot);
                 match self.policy {
                     WritePolicy::WriteBack => {
-                        self.cache.write_word(slot, addr, access.value);
+                        self.memory.poke(addr, access.value);
+                        self.cache.write(slot, &self.memory);
                     }
                     WritePolicy::WriteThrough => {
                         // Keep the line clean: the word goes straight to
                         // memory as well.
-                        self.cache.write_word(slot, addr, access.value);
-                        self.cache.clean(slot);
                         self.memory.write_word(addr, access.value);
+                        self.cache.write(slot, &self.memory);
+                        self.cache.clean(slot);
                     }
                 }
             }
@@ -215,20 +221,18 @@ impl CacheSim {
                     AccessKind::Load => self.stats.read_misses += 1,
                     AccessKind::Store => self.stats.write_misses += 1,
                 }
-                self.memory.read_line(line_addr, &mut self.line_buf);
+                let wpl = self.words_per_line();
+                self.memory.count_fetch(wpl);
                 self.stats.fetches += 1;
-                let evicted = self.cache.install(line_addr, &self.line_buf, false);
-                if let Some(line) = evicted {
-                    if line.dirty {
-                        self.memory.write_line(line.line_addr, &line.data);
-                        self.stats.writebacks += 1;
-                    }
+                let (slot, evicted) = self.cache.install(line_addr, false, &self.memory);
+                if evicted.is_some_and(|line| line.dirty) {
+                    self.memory.count_write_back(wpl);
+                    self.stats.writebacks += 1;
                 }
-                let slot = self.cache.probe_at(set, line_addr).expect("just installed");
                 match kind {
                     AccessKind::Load => {
-                        let value = self.cache.read_word(slot, addr);
                         if self.verify_values {
+                            let value = self.memory.peek(addr);
                             assert_eq!(
                                 value, access.value,
                                 "memory returned {value:#x} but trace expects {:#x} at {addr:#x}",
@@ -236,7 +240,10 @@ impl CacheSim {
                             );
                         }
                     }
-                    AccessKind::Store => self.cache.write_word(slot, addr, access.value),
+                    AccessKind::Store => {
+                        self.memory.poke(addr, access.value);
+                        self.cache.write(slot, &self.memory);
+                    }
                 }
             }
         }
@@ -341,7 +348,7 @@ mod tests {
         // Evict by touching the conflicting line.
         s.on_access(Access::load(0x400, 0));
         assert_eq!(s.stats().writebacks, 1);
-        assert_eq!(s.memory().peek(0x000), 42);
+        assert_eq!(s.memory().words_in(), 4, "the whole line went back");
         // Re-load the written value through the cache.
         s.on_access(Access::load(0x000, 42));
         assert_eq!(s.stats().read_misses, 2);
@@ -361,7 +368,7 @@ mod tests {
         s.on_access(Access::store(0x123 & !3, 5));
         s.on_finish();
         assert_eq!(s.stats().writebacks, 1);
-        assert_eq!(s.memory().peek(0x120), 5);
+        assert_eq!(s.memory().words_in(), 4);
         s.on_finish(); // idempotent
         assert_eq!(s.stats().writebacks, 1);
     }
@@ -381,13 +388,16 @@ mod tests {
         assert_eq!(s.write_policy(), WritePolicy::WriteThrough);
         // Store miss: no allocation, word goes straight to memory.
         s.on_access(Access::store(0x100, 5));
-        assert_eq!(s.memory().peek(0x100), 5);
+        assert_eq!(s.memory().words_in(), 1, "one word written through");
         assert_eq!(s.stats().fetches, 0, "no write-allocate");
+        assert_eq!(s.memory().words_out(), 0);
         // Load brings the line in; a store hit updates both copies.
         s.on_access(Access::load(0x100, 5));
+        assert_eq!(s.memory().words_out(), 4, "one 16-byte line fetched");
         s.on_access(Access::store(0x104, 6));
-        assert_eq!(s.memory().peek(0x104), 6);
+        assert_eq!(s.memory().words_in(), 2, "the hit is written through");
         s.on_finish();
+        assert_eq!(s.memory().words_in(), 2, "nothing left to flush");
         assert_eq!(
             s.stats().writebacks,
             0,

@@ -16,9 +16,12 @@ struct Entry {
 /// A fully-associative LRU victim cache (Jouppi, ISCA 1990) — the
 /// comparison point of the paper's Figure 15.
 ///
-/// The victim cache holds whole evicted lines. On a main-cache miss that
-/// hits here, the controller removes the line (via [`VictimCache::take`])
-/// and installs the main cache's displaced line in its place.
+/// The victim cache holds evicted lines — tag, dirty bit and whatever
+/// words the caller carries in [`EvictedLine::data`] (the tag-only
+/// `VictimHybrid` controller carries none). On a main-cache miss that
+/// hits here, the controller removes the line (via
+/// [`VictimCache::take`]) and installs the main cache's displaced line
+/// in its place.
 ///
 /// # Example
 ///
@@ -111,11 +114,10 @@ impl VictimCache {
     /// # Panics
     ///
     /// Panics if the line is already present (controllers must `take`
-    /// before re-inserting) or has the wrong length.
+    /// before re-inserting) or carries words but not exactly one line's.
     pub fn insert(&mut self, line: EvictedLine) -> Option<EvictedLine> {
-        assert_eq!(
-            line.data.len() as u32,
-            self.words_per_line,
+        assert!(
+            line.data.is_empty() || line.data.len() as u32 == self.words_per_line,
             "wrong line length"
         );
         assert!(

@@ -3,7 +3,7 @@
 //! direct-mapped formulation, and every policy must produce its
 //! documented eviction order through the public `DataCache` API.
 
-use fvl_cache::{CacheGeometry, CacheSim, DataCache, ReplacementKind};
+use fvl_cache::{CacheGeometry, CacheSim, DataCache, MainMemory, ReplacementKind};
 use fvl_mem::{Access, AccessSink};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -131,9 +131,27 @@ fn filled_4way(kind: ReplacementKind) -> DataCache {
     let geom = CacheGeometry::new(1024, 16, 4).unwrap();
     let mut cache = DataCache::with_replacement(geom, kind);
     for way in 0u32..4 {
-        cache.install(way * 0x400, &[way + 1; 4], false);
+        cache.install(way * 0x400, false, &MainMemory::new());
     }
     cache
+}
+
+/// Installs `line_addr` and returns the evicted line's address.
+fn evict(cache: &mut DataCache, line_addr: u32, image: &MainMemory) -> u32 {
+    let (_, evicted) = cache.install(line_addr, false, image);
+    evicted.expect("set full").line_addr
+}
+
+/// An image whose line at each `line_addr` holds `fill` in every word
+/// of a 16-byte line.
+fn image_of(lines: &[(u32, u32)]) -> MainMemory {
+    let mut image = MainMemory::new();
+    for &(line_addr, fill) in lines {
+        for word in 0..4 {
+            image.poke(line_addr + 4 * word, fill);
+        }
+    }
+    image
 }
 
 #[test]
@@ -142,10 +160,9 @@ fn lru_evicts_in_recency_order() {
     // Touch 0x000 and 0x400; the least recent is now 0x800.
     cache.touch(cache.probe(0x000).unwrap());
     cache.touch(cache.probe(0x400).unwrap());
-    let evicted = cache.install(0x1000, &[9; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0x800);
-    let evicted = cache.install(0x1400, &[9; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0xc00);
+    let image = MainMemory::new();
+    assert_eq!(evict(&mut cache, 0x1000, &image), 0x800);
+    assert_eq!(evict(&mut cache, 0x1400, &image), 0xc00);
     // The replacement handle survives on the cache.
     assert_eq!(cache.replacement(), ReplacementKind::Lru);
 }
@@ -154,13 +171,9 @@ fn lru_evicts_in_recency_order() {
 fn random_eviction_is_reproducible_for_equal_seeds() {
     let evictions = |seed: u64| -> Vec<u32> {
         let mut cache = filled_4way(ReplacementKind::Random(seed));
+        let image = MainMemory::new();
         (0..8u32)
-            .map(|i| {
-                cache
-                    .install(0x1000 + i * 0x400, &[7; 4], false)
-                    .expect("set full")
-                    .line_addr
-            })
+            .map(|i| evict(&mut cache, 0x1000 + i * 0x400, &image))
             .collect()
     };
     assert_eq!(evictions(1), evictions(1));
@@ -175,23 +188,21 @@ fn rrip_evicts_never_rereferenced_lines_first() {
     for addr in [0x000u32, 0x800, 0xc00] {
         cache.touch(cache.probe(addr).unwrap());
     }
-    let evicted = cache.install(0x1000, &[9; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0x400);
+    assert_eq!(evict(&mut cache, 0x1000, &MainMemory::new()), 0x400);
 }
 
 #[test]
 fn pinned_lru_never_evicts_frequent_value_lines() {
     let geom = CacheGeometry::new(1024, 16, 4).unwrap();
     let mut cache = DataCache::with_replacement(geom, ReplacementKind::PinnedLru);
-    cache.install(0x000, &[0; 4], false); // all zeros: pinned
-    cache.install(0x400, &[u32::MAX; 4], false); // all ones: pinned
-    cache.install(0x800, &[3; 4], false);
-    cache.install(0xc00, &[4; 4], false);
+    // 0x000 all zeros and 0x400 all ones: both pinned.
+    let image = image_of(&[(0x400, u32::MAX), (0x800, 3), (0xc00, 4), (0x1000, 5)]);
+    for line_addr in [0x000, 0x400, 0x800, 0xc00] {
+        cache.install(line_addr, false, &image);
+    }
     // Oldest unpinned is 0x800, then 0xc00; pinned lines outlive both.
-    let evicted = cache.install(0x1000, &[5; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0x800);
-    let evicted = cache.install(0x1400, &[6; 4], false).unwrap();
-    assert_eq!(evicted.line_addr, 0xc00);
+    assert_eq!(evict(&mut cache, 0x1000, &image), 0x800);
+    assert_eq!(evict(&mut cache, 0x1400, &image), 0xc00);
     assert!(cache.probe(0x000).is_some(), "all-zero line pinned");
     assert!(cache.probe(0x400).is_some(), "all-ones line pinned");
 }
@@ -200,17 +211,19 @@ fn pinned_lru_never_evicts_frequent_value_lines() {
 fn pinned_lru_unpins_on_overwrite() {
     let geom = CacheGeometry::new(64, 16, 4).unwrap(); // one set
     let mut cache = DataCache::with_replacement(geom, ReplacementKind::PinnedLru);
-    cache.install(0x00, &[0; 4], false);
-    for way in 1u32..4 {
-        cache.install(way * 0x10, &[way; 4], false);
+    let mut image = image_of(&[(0x10, 1), (0x20, 2), (0x30, 3), (0x40, 9)]);
+    for line_addr in [0x00, 0x10, 0x20, 0x30] {
+        cache.install(line_addr, false, &image);
     }
     // Storing a non-frequent word unpins the all-zero line, and it is
     // the oldest, so it becomes the victim.
     let slot = cache.probe(0x04).unwrap();
-    cache.write_word(slot, 0x04, 123);
-    let evicted = cache.install(0x40, &[9; 4], false).unwrap();
+    image.poke(0x04, 123);
+    cache.write(slot, &image);
+    let (_, evicted) = cache.install(0x40, false, &image);
+    let evicted = evicted.expect("set full");
     assert_eq!(evicted.line_addr, 0x00);
-    assert_eq!(evicted.data, vec![0, 123, 0, 0]);
+    assert!(evicted.dirty, "the store dirtied the line");
 }
 
 #[test]

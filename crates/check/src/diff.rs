@@ -10,6 +10,7 @@
 
 use crate::oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 use crate::oracle_encode::LinearScanEncoder;
+use crate::oracle_hybrid::OracleHybrid;
 use crate::oracle_replay::{scalar_replay, DigestSink};
 use fvl_cache::{CacheGeometry, CacheSim, CacheStats, ReplacementKind, Simulator, WritePolicy};
 use fvl_core::{FrequentValueSet, HybridCache, HybridConfig, OnlineHybrid};
@@ -740,6 +741,55 @@ pub fn diff_hybrid(trace: &Trace) -> Option<String> {
     None
 }
 
+/// Diffs [`HybridCache`] against the [`OracleHybrid`] over the
+/// trace's own top-7 values: both [`GEOMETRIES`] DMCs × direct-mapped
+/// and 2-way 8-entry FVCs, sampling occupancy every 64 accesses. The
+/// combined [`CacheStats`], every [`fvl_core::HybridStats`] counter and
+/// the words moved each way over the bus must all agree.
+pub fn diff_fvc(trace: &Trace) -> Option<String> {
+    const FVC_ENTRIES: u32 = 8;
+    const SAMPLE_EVERY: u64 = 64;
+    let ranking = value_ranking(trace, 7);
+    if ranking.is_empty() {
+        return None; // empty trace: no frequent values to cache
+    }
+    for &(size, line, assoc) in &GEOMETRIES {
+        for fvc_assoc in [1u32, 2] {
+            let geom = CacheGeometry::new(size, line, assoc).expect("valid geometry");
+            let values = FrequentValueSet::new(ranking.clone()).expect("nonempty deduplicated");
+            let config = HybridConfig::new(geom, FVC_ENTRIES, values)
+                .fvc_associativity(fvc_assoc)
+                .occupancy_sample_every(SAMPLE_EVERY);
+            let mut hybrid = HybridCache::new(config);
+            trace.replay_into(&mut hybrid);
+            let mut oracle = OracleHybrid::new(
+                (size, line, assoc),
+                FVC_ENTRIES,
+                fvc_assoc,
+                ranking.clone(),
+                SAMPLE_EVERY,
+            );
+            scalar_replay(trace, &mut oracle);
+            let memory = hybrid.memory();
+            if !oracle
+                .stats()
+                .matches(hybrid.hybrid_stats(), memory.words_out(), memory.words_in())
+            {
+                return Some(format!(
+                    "HybridCache {size}B/{line}B/{assoc}-way DMC + {FVC_ENTRIES}-entry \
+                     {fvc_assoc}-way FVC diverged: optimized {:?} (words out {}, in {}) \
+                     vs oracle {:?}",
+                    hybrid.hybrid_stats(),
+                    memory.words_out(),
+                    memory.words_in(),
+                    oracle.stats()
+                ));
+            }
+        }
+    }
+    None
+}
+
 /// Diffs the lock-free parallel sweeps against a serial oracle sweep:
 /// [`fvl_bench::sweep::parallel`] and batched
 /// [`fvl_bench::sweep::parallel_broadcast`] must both report, per
@@ -889,12 +939,13 @@ pub fn diff_reuse(trace: &Trace) -> Option<String> {
 /// divergence.
 pub fn check_trace(trace: &Trace) -> Vec<String> {
     type Runner = fn(&Trace) -> Option<String>;
-    let runners: [(&str, Runner); 8] = [
+    let runners: [(&str, Runner); 9] = [
         ("replay", diff_replay),
         ("simd", diff_simd),
         ("cache", diff_cache),
         ("encode", diff_encode),
         ("hybrid", diff_hybrid),
+        ("fvc", diff_fvc),
         ("sweep", diff_sweep),
         ("corpus", diff_corpus),
         ("reuse", diff_reuse),

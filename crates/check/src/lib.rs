@@ -6,11 +6,12 @@
 //! each other, so a bug shared by both representations passes silently.
 //! This crate closes the loop with independent machinery:
 //!
-//! * **Reference oracles** ([`OracleCache`], [`LinearScanEncoder`],
-//!   [`scalar_replay`]) — deliberately naive, obviously-correct
-//!   reimplementations of the cache simulator, the frequent-value
-//!   encoder, and the trace replayer. Written for readability, not
-//!   speed, and sharing no code with the optimized paths.
+//! * **Reference oracles** ([`OracleCache`], [`OracleHybrid`],
+//!   [`LinearScanEncoder`], [`scalar_replay`]) — deliberately naive,
+//!   obviously-correct reimplementations of the cache simulator, the
+//!   DMC+FVC hybrid, the frequent-value encoder, and the trace
+//!   replayer. Written for readability, not speed, and sharing no
+//!   code with the optimized paths.
 //! * A **deterministic trace generator** ([`generate`], [`corpus`]) —
 //!   seeded, wall-clock-free, producing adversarial access patterns:
 //!   DMC index aliasing, values at the frequent/non-frequent boundary,
@@ -21,10 +22,11 @@
 //!   deleting events.
 //! * **Differential runners** ([`diff`]) replaying every generated
 //!   trace through oracle-vs-optimized pairs — `Trace` vs `PackedTrace`
-//!   broadcast, array vs linear-scan encode, `OnlineHybrid` vs an
-//!   offline-profiled hybrid, parallel `sweep` vs a serial oracle
-//!   sweep, the reuse curve and miss classes vs fully-associative
-//!   oracles — asserting stat-for-stat equality.
+//!   broadcast, array vs linear-scan encode, `HybridCache` vs
+//!   [`OracleHybrid`] (every counter and the bus traffic),
+//!   `OnlineHybrid` vs an offline-profiled hybrid, parallel `sweep` vs
+//!   a serial oracle sweep, the reuse curve and miss classes vs
+//!   fully-associative oracles — asserting stat-for-stat equality.
 //!
 //! The `conformance` binary runs the fixed-seed corpus and writes a
 //! shrunk repro trace to `target/conformance/repro.fvltrc` on failure;
@@ -32,7 +34,7 @@
 //! diffing the `fvl-serve` wire path — frame-codec byte round-trips and
 //! loopback daemon sessions — against in-process execution.
 //! `tests/mutation_smoke.rs` (behind the `mutation` feature) proves the
-//! net has teeth by catching eight deliberately seeded simulator bugs.
+//! net has teeth by catching nine deliberately seeded simulator bugs.
 //!
 //! # Example
 //!
@@ -52,6 +54,7 @@ pub mod diff;
 mod gen;
 mod oracle_cache;
 mod oracle_encode;
+mod oracle_hybrid;
 mod oracle_replay;
 mod rng;
 mod runner;
@@ -60,6 +63,7 @@ mod shrink;
 pub use gen::{corpus, generate, Pattern};
 pub use oracle_cache::{OracleCache, OraclePolicy, OracleReplacement, OracleStats};
 pub use oracle_encode::LinearScanEncoder;
+pub use oracle_hybrid::{OracleHybrid, OracleHybridStats};
 pub use oracle_replay::{scalar_replay, DigestSink};
 pub use rng::SplitMix64;
 pub use runner::{

@@ -1,12 +1,13 @@
 //! Mutation smoke test: prove the differential net has teeth.
 //!
-//! Compiled only under the `mutation` feature, which turns on eight
+//! Compiled only under the `mutation` feature, which turns on nine
 //! deliberately seeded bugs in the optimized crates:
 //!
 //! 1. an off-by-one set-index mask in `fvl-cache`'s geometry (the top
 //!    index bit is dropped, folding half the sets onto the other half),
-//! 2. a dropped dirty bit in `fvl-cache`'s data array (modified lines
-//!    are silently discarded instead of written back),
+//! 2. a dropped dirty bit in `fvl-cache`'s tag-only `DataCache` (a
+//!    store no longer marks its line dirty, so modified lines are never
+//!    written back),
 //! 3. a swapped load/store bit in `fvl-mem`'s packed-trace decoder
 //!    (every packed load replays as a store and vice versa),
 //! 4. an inverted LRU victim scan in `fvl-cache`'s replacement policy
@@ -32,7 +33,11 @@
 //!    lines touched since), so every reported distance reads one too
 //!    far and the `ReuseProfiler` curve loses the hits at the edge of
 //!    each capacity (the miss classifier only asks whether a line is
-//!    still live, which the mutation leaves intact).
+//!    still live, which the mutation leaves intact), and
+//! 9. a whole-line write-back in `fvl-core`'s DMC+FVC hybrid (a dirty
+//!    FVC victim writes back every word of its line instead of only its
+//!    frequent words), which changes nothing but the words moved to
+//!    memory.
 //!
 //! Each test below isolates one bug with a trace (and, for the
 //! cache-level bugs, a geometry/policy scope) constructed so the others
@@ -41,8 +46,9 @@
 
 #![cfg(feature = "mutation")]
 
-use fvl_cache::ReplacementKind;
-use fvl_check::{diff, generate, run_corpus, Pattern};
+use fvl_cache::{CacheGeometry, ReplacementKind};
+use fvl_check::{diff, generate, run_corpus, OracleHybrid, Pattern};
+use fvl_core::{FrequentValueSet, HybridCache, HybridConfig};
 use fvl_mem::{Access, Trace, TraceEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -293,6 +299,58 @@ fn stack_distance_bug_is_caught() {
     // stays clean on this trace, so none of the cache-level mutations
     // fires here.
     assert_eq!(diff::diff_cache(&trace), None);
+}
+
+/// Bug 9 — whole-line FVC write-back. Three stores of the trace's only
+/// value (0, hence frequent) to lines 0x000, 0x100 and 0x400 miss
+/// everywhere and are allocated straight into the FVC, dirty, one
+/// frequent word each. The lines share set 0 of both FVC shapes
+/// `diff_fvc` runs (8 entries direct-mapped, and 2-way in 4 sets), so
+/// allocations displace dirty lines and the flush writes back the rest:
+/// three dirty FVC lines of one frequent word, written back as 3 words
+/// by the correct hybrid and as 3 × 4 by the mutant.
+///
+/// Attribution: no access fetches a line (every store is absorbed by
+/// an allocation), so the DMC stays empty and the set-index, dirty-bit
+/// and victim-scan mutations cannot reach the hybrid; `diff_fvc`
+/// replays the plain `Trace`, so no decode is involved. The direct run
+/// below shows every hybrid counter agreeing with the oracle and only
+/// the write-back words differing. (`diff_cache` cannot be shown clean
+/// here: any store trips the dropped dirty bit, bug 2, in `CacheSim`.)
+#[test]
+fn fvc_whole_line_write_back_bug_is_caught() {
+    diff::silence_panics();
+    let trace = Trace::from_events(vec![
+        TraceEvent::Access(Access::store(0x000, 0)),
+        TraceEvent::Access(Access::store(0x100, 0)),
+        TraceEvent::Access(Access::store(0x400, 0)),
+    ]);
+    let divergence = diff::diff_fvc(&trace);
+    assert!(
+        divergence.is_some(),
+        "whole-line FVC write-back went undetected"
+    );
+
+    let geom = CacheGeometry::new(1024, 16, 1).unwrap();
+    let values = FrequentValueSet::new(vec![0]).unwrap();
+    let mut hybrid = HybridCache::new(HybridConfig::new(geom, 8, values));
+    trace.replay_into(&mut hybrid);
+    let mut oracle = OracleHybrid::new((1024, 16, 1), 8, 1, vec![0], 4096);
+    trace.replay_into(&mut oracle);
+    let (got, want) = (hybrid.hybrid_stats(), oracle.stats());
+    assert_eq!(got.fvc_write_allocs, 3);
+    assert!(want.overall.matches(&got.overall));
+    assert_eq!(
+        (got.fvc_evictions, got.fvc_dirty_evictions),
+        (want.fvc_evictions, want.fvc_dirty_evictions)
+    );
+    assert_eq!(hybrid.memory().words_out(), want.words_out);
+    assert_eq!(want.words_in, 3, "one frequent word per dirty line");
+    assert_eq!(
+        hybrid.memory().words_in(),
+        12,
+        "the mutant writes whole lines"
+    );
 }
 
 /// End to end: a small corpus run must go red, and every failure must

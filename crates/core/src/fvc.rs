@@ -1,91 +1,69 @@
 //! The value-centric frequent value cache structure.
 
-use crate::code_array::CodeArray;
 use crate::value_set::FrequentValueSet;
 use fvl_mem::{Addr, Word, WORD_BYTES};
 use std::fmt;
 
-/// One FVC line: a tag plus a bit-packed code per word of the
-/// corresponding DMC line.
-#[derive(Clone, Eq, PartialEq, Debug)]
+/// Tag of an empty FVC slot. Line addresses are word aligned, so no
+/// valid line address has bit 0 set.
+const EMPTY: Addr = 1;
+
+/// Largest line an FVC line's frequent-word mask covers.
+pub const MAX_FVC_WORDS: u32 = u64::BITS;
+
+/// One FVC line: a tag, a dirty bit and a per-word *frequent* mask.
+///
+/// The hardware FVC stores a code per word; which frequent value a
+/// marked word holds is its architectural value, which the controller
+/// keeps in its memory image. So the model keeps only which words the
+/// line can serve: bit `i` of `frequent` is set when word `i` holds a
+/// frequent value the FVC knows.
+#[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub struct FvcLine {
     /// Address of the first byte of the (uncompressed) line.
     pub line_addr: Addr,
-    /// Whether any code was updated since the line entered the FVC
-    /// (dirty frequent words must be written back on eviction).
+    /// Whether a frequent word was written since the line entered the
+    /// FVC (dirty frequent words must be written back on eviction).
     pub dirty: bool,
-    /// The per-word codes.
-    pub codes: CodeArray,
+    /// Bit `i` set: word `i` holds a frequent value the FVC can serve.
+    pub frequent: u64,
 }
 
 impl FvcLine {
-    /// Encodes an uncompressed line: each word holding a frequent value
-    /// gets its code, every other word the infrequent marker.
-    pub fn encode(line_addr: Addr, data: &[Word], values: &FrequentValueSet) -> Self {
-        #[cfg(feature = "metrics")]
-        crate::metrics::LINES_ENCODED.incr();
-        let mut codes = CodeArray::new(values.width_bits(), data.len() as u32);
-        let marker = codes.infrequent_code();
-        for (i, &w) in data.iter().enumerate() {
-            codes.set(i as u32, values.encode(w).unwrap_or(marker));
-        }
-        FvcLine {
-            line_addr,
-            dirty: false,
-            codes,
-        }
-    }
-
-    /// Number of words this line can serve (non-infrequent codes).
-    pub fn frequent_count(&self) -> u32 {
-        self.codes.frequent_count()
-    }
-
-    /// Overlays this line's frequent values onto `data` (which must hold
-    /// the memory image of the same line). Words marked infrequent are
-    /// left untouched. This is the merge the paper performs when an
-    /// access to an infrequent word moves a line from FVC back to DMC.
+    /// Encodes a clean line from its words: every word holding a
+    /// frequent value is marked servable.
     ///
     /// # Panics
     ///
-    /// Panics if `data` has a different word count than the line.
-    pub fn merge_into(&self, data: &mut [Word], values: &FrequentValueSet) {
+    /// Panics if `data` is longer than [`MAX_FVC_WORDS`].
+    pub fn encode(line_addr: Addr, data: &[Word], values: &FrequentValueSet) -> Self {
         #[cfg(feature = "metrics")]
-        crate::metrics::LINES_DECODED.incr();
-        assert_eq!(data.len() as u32, self.codes.len(), "line length mismatch");
-        let marker = self.codes.infrequent_code();
-        for (i, slot) in data.iter_mut().enumerate() {
-            let code = self.codes.get(i as u32);
-            if code != marker {
-                *slot = values.decode(code).expect("valid code");
-            }
+        crate::metrics::LINES_ENCODED.incr();
+        assert!(
+            data.len() as u32 <= MAX_FVC_WORDS,
+            "FVC lines hold at most {MAX_FVC_WORDS} words"
+        );
+        let frequent = data
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| values.contains(w))
+            .fold(0u64, |mask, (i, _)| mask | 1 << i);
+        FvcLine {
+            line_addr,
+            dirty: false,
+            frequent,
         }
     }
 
-    /// Iterates over `(word_index, value)` for every frequent word.
-    pub fn frequent_words<'a>(
-        &'a self,
-        values: &'a FrequentValueSet,
-    ) -> impl Iterator<Item = (u32, Word)> + 'a {
-        let marker = self.codes.infrequent_code();
-        (0..self.codes.len()).filter_map(move |i| {
-            let code = self.codes.get(i);
-            (code != marker).then(|| (i, values.decode(code).expect("valid code")))
-        })
+    /// Number of words this line can serve.
+    pub fn frequent_count(&self) -> u32 {
+        self.frequent.count_ones()
     }
 }
 
-#[derive(Clone)]
-struct Slot {
-    valid: bool,
-    stamp: u64,
-    line_addr: Addr,
-    dirty: bool,
-    codes: CodeArray,
-}
-
 /// The frequent value cache: a small (usually direct-mapped) cache whose
-/// data array stores codes, not words.
+/// data array stores codes, not words — modelled as a tag, a dirty bit
+/// and a frequent-word mask per line, struct-of-arrays.
 ///
 /// Like [`fvl_cache::DataCache`] this is a passive structure; the
 /// [`crate::HybridCache`] controller decides what enters and leaves.
@@ -100,7 +78,9 @@ struct Slot {
 /// let line = FvcLine::encode(0x100, &[0, 1, 2, 3, 4, 0, 0, 1], &values);
 /// assert_eq!(line.frequent_count(), 6);
 /// fvc.install(line);
-/// assert!(fvc.probe(0x104).is_some());
+/// let slot = fvc.probe(0x104).expect("tag match");
+/// assert!(fvc.is_frequent(slot, 0x104));
+/// assert!(!fvc.is_frequent(slot, 0x10c));
 /// # Ok::<(), fvl_core::ValueSetError>(())
 /// ```
 #[derive(Clone)]
@@ -111,7 +91,11 @@ pub struct Fvc {
     words_per_line: u32,
     line_bytes: u32,
     width: u32,
-    slots: Vec<Slot>,
+    /// Line address per slot (set-major), [`EMPTY`] for an invalid way.
+    tags: Vec<Addr>,
+    dirty: Vec<bool>,
+    frequent: Vec<u64>,
+    stamps: Vec<u64>,
     clock: u64,
 }
 
@@ -121,7 +105,8 @@ impl Fvc {
     ///
     /// # Panics
     ///
-    /// Panics unless `entries` and `words_per_line` are powers of two.
+    /// Panics unless `entries` and `words_per_line` are powers of two
+    /// and `words_per_line` is at most [`MAX_FVC_WORDS`].
     pub fn new(entries: u32, words_per_line: u32, values: &FrequentValueSet) -> Self {
         Self::with_associativity(entries, words_per_line, values, 1)
     }
@@ -131,7 +116,8 @@ impl Fvc {
     /// # Panics
     ///
     /// Panics unless `entries`, `words_per_line` and `associativity` are
-    /// powers of two with `associativity ≤ entries`.
+    /// powers of two with `associativity ≤ entries` and
+    /// `words_per_line ≤` [`MAX_FVC_WORDS`].
     pub fn with_associativity(
         entries: u32,
         words_per_line: u32,
@@ -143,31 +129,25 @@ impl Fvc {
             "FVC entries must be a power of two"
         );
         assert!(
-            words_per_line.is_power_of_two(),
-            "words per line must be a power of two"
+            words_per_line.is_power_of_two() && words_per_line <= MAX_FVC_WORDS,
+            "words per line must be a power of two of at most {MAX_FVC_WORDS}"
         );
         assert!(
             associativity.is_power_of_two() && associativity <= entries,
             "bad FVC associativity"
         );
-        let width = values.width_bits();
-        let slots = (0..entries)
-            .map(|_| Slot {
-                valid: false,
-                stamp: 0,
-                line_addr: 0,
-                dirty: false,
-                codes: CodeArray::new(width, words_per_line),
-            })
-            .collect();
+        let n = entries as usize;
         Fvc {
             entries,
             associativity,
             sets: entries / associativity,
             words_per_line,
             line_bytes: words_per_line * WORD_BYTES,
-            width,
-            slots,
+            width: values.width_bits(),
+            tags: vec![EMPTY; n],
+            dirty: vec![false; n],
+            frequent: vec![0; n],
+            stamps: vec![0; n],
             clock: 0,
         }
     }
@@ -218,16 +198,16 @@ impl Fvc {
 
     /// Looks up the line containing `addr`; returns its slot on a tag
     /// match (the match says nothing about whether the specific word is
-    /// frequent — check the code).
+    /// frequent — check [`Fvc::is_frequent`]).
     #[inline]
     pub fn probe(&self, addr: Addr) -> Option<usize> {
         #[cfg(feature = "metrics")]
         crate::metrics::FVC_LOOKUPS.incr();
         let line_addr = self.line_addr_of(addr);
         let range = self.set_range(line_addr);
-        self.slots[range.clone()]
+        self.tags[range.clone()]
             .iter()
-            .position(|s| s.valid && s.line_addr == line_addr)
+            .position(|&tag| tag == line_addr)
             .map(|w| range.start + w)
     }
 
@@ -235,74 +215,62 @@ impl Fvc {
     #[inline]
     pub fn touch(&mut self, slot: usize) {
         self.clock += 1;
-        self.slots[slot].stamp = self.clock;
+        self.stamps[slot] = self.clock;
     }
 
-    /// The code stored for `addr` in `slot`.
+    /// Whether the line in `slot` can serve the word at `addr`.
     #[inline]
-    pub fn code_at(&self, slot: usize, addr: Addr) -> u8 {
-        let s = &self.slots[slot];
-        debug_assert!(s.valid && s.line_addr == self.line_addr_of(addr));
-        s.codes.get(self.word_offset(addr))
+    pub fn is_frequent(&self, slot: usize, addr: Addr) -> bool {
+        debug_assert_eq!(self.tags[slot], self.line_addr_of(addr));
+        self.frequent[slot] >> self.word_offset(addr) & 1 == 1
     }
 
-    /// Overwrites the code for `addr` in `slot` and marks the line
-    /// dirty (a frequent-value write hit).
+    /// Records a frequent-value store into the line in `slot`: the word
+    /// becomes servable and the line dirty (a frequent-value write hit).
     #[inline]
-    pub fn set_code(&mut self, slot: usize, addr: Addr, code: u8) {
-        let off = self.word_offset(addr);
-        let line_addr = self.line_addr_of(addr);
-        let s = &mut self.slots[slot];
-        debug_assert!(s.valid && s.line_addr == line_addr);
-        s.codes.set(off, code);
-        s.dirty = true;
+    pub fn set_frequent(&mut self, slot: usize, addr: Addr) {
+        debug_assert_eq!(self.tags[slot], self.line_addr_of(addr));
+        self.frequent[slot] |= 1 << self.word_offset(addr);
+        self.dirty[slot] = true;
+    }
+
+    fn line_at(&self, slot: usize) -> FvcLine {
+        FvcLine {
+            line_addr: self.tags[slot],
+            dirty: self.dirty[slot],
+            frequent: self.frequent[slot],
+        }
     }
 
     /// Installs a line, returning the evicted victim if one was valid.
     ///
     /// # Panics
     ///
-    /// Panics if the line is already resident or has mismatched
-    /// width/length.
+    /// Panics if `line.line_addr` is not a line address, or if the line
+    /// is already resident.
     pub fn install(&mut self, line: FvcLine) -> Option<FvcLine> {
-        assert_eq!(
-            line.codes.len(),
-            self.words_per_line,
-            "line length mismatch"
-        );
-        assert_eq!(line.codes.width(), self.width, "encoding width mismatch");
         assert_eq!(line.line_addr % self.line_bytes, 0, "not a line address");
         assert!(
             self.probe(line.line_addr).is_none(),
             "line already resident in FVC"
         );
         let range = self.set_range(line.line_addr);
-        let invalid = self.slots[range.clone()].iter().position(|s| !s.valid);
-        let slot = match invalid {
+        let slot = match self.tags[range.clone()].iter().position(|&t| t == EMPTY) {
             Some(w) => range.start + w,
-            None => self.slots[range.clone()]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(w, _)| range.start + w)
-                .expect("associativity at least 1"),
+            None => {
+                let ways = &self.stamps[range.clone()];
+                let lru = (0..ways.len())
+                    .min_by_key(|&w| ways[w])
+                    .expect("associativity at least 1");
+                range.start + lru
+            }
         };
-        let evicted = if self.slots[slot].valid {
-            Some(FvcLine {
-                line_addr: self.slots[slot].line_addr,
-                dirty: self.slots[slot].dirty,
-                codes: self.slots[slot].codes.clone(),
-            })
-        } else {
-            None
-        };
+        let evicted = (self.tags[slot] != EMPTY).then(|| self.line_at(slot));
         self.clock += 1;
-        let s = &mut self.slots[slot];
-        s.valid = true;
-        s.stamp = self.clock;
-        s.line_addr = line.line_addr;
-        s.dirty = line.dirty;
-        s.codes = line.codes;
+        self.stamps[slot] = self.clock;
+        self.tags[slot] = line.line_addr;
+        self.dirty[slot] = line.dirty;
+        self.frequent[slot] = line.frequent;
         evicted
     }
 
@@ -312,49 +280,37 @@ impl Fvc {
     ///
     /// Panics if the slot is invalid.
     pub fn take(&mut self, slot: usize) -> FvcLine {
-        let s = &mut self.slots[slot];
-        assert!(s.valid, "take on invalid FVC slot");
-        s.valid = false;
-        FvcLine {
-            line_addr: s.line_addr,
-            dirty: s.dirty,
-            codes: std::mem::replace(
-                &mut s.codes,
-                CodeArray::new(self.width, self.words_per_line),
-            ),
-        }
+        assert_ne!(self.tags[slot], EMPTY, "take on invalid FVC slot");
+        let line = self.line_at(slot);
+        self.tags[slot] = EMPTY;
+        line
     }
 
     /// Number of valid lines.
     pub fn valid_lines(&self) -> u32 {
-        self.slots.iter().filter(|s| s.valid).count() as u32
+        self.tags.iter().filter(|&&tag| tag != EMPTY).count() as u32
     }
 
     /// Iterates over the valid lines' `(line_addr, dirty, frequent
-    /// words, words per line)` for occupancy statistics.
+    /// words)` for occupancy statistics.
     pub fn iter_valid(&self) -> impl Iterator<Item = (Addr, bool, u32)> + '_ {
-        self.slots
-            .iter()
-            .filter(|s| s.valid)
-            .map(|s| (s.line_addr, s.dirty, s.codes.frequent_count()))
+        (0..self.tags.len())
+            .filter(|&slot| self.tags[slot] != EMPTY)
+            .map(|slot| {
+                let line = self.line_at(slot);
+                (line.line_addr, line.dirty, line.frequent_count())
+            })
     }
 
     /// Drains every valid line (end-of-simulation flush).
     pub fn drain(&mut self) -> Vec<FvcLine> {
-        let width = self.width;
-        let wpl = self.words_per_line;
-        self.slots
-            .iter_mut()
-            .filter(|s| s.valid)
-            .map(|s| {
-                s.valid = false;
-                FvcLine {
-                    line_addr: s.line_addr,
-                    dirty: s.dirty,
-                    codes: std::mem::replace(&mut s.codes, CodeArray::new(width, wpl)),
-                }
-            })
-            .collect()
+        let mut out = Vec::new();
+        for slot in 0..self.tags.len() {
+            if self.tags[slot] != EMPTY {
+                out.push(self.take(slot));
+            }
+        }
+        out
     }
 }
 
@@ -378,27 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn encode_merge_round_trip() {
+    fn encode_marks_exactly_the_frequent_words() {
         let values = top7();
         let data = [0u32, 1000, 0, 99999, u32::MAX, 10, 1, u32::MAX];
         let line = FvcLine::encode(0x100, &data, &values);
+        assert_eq!(line.frequent, 0b1111_0101);
         assert_eq!(line.frequent_count(), 6);
-        // Merging onto the memory image reproduces the full line.
-        let mut mem_image = data; // memory agrees here
-        line.merge_into(&mut mem_image, &values);
-        assert_eq!(mem_image, data);
-        // Merging onto stale memory restores only frequent words.
-        let mut stale = [7u32; 8];
-        line.merge_into(&mut stale, &values);
-        assert_eq!(stale, [0, 7, 0, 7, u32::MAX, 10, 1, u32::MAX]);
-    }
-
-    #[test]
-    fn frequent_words_lists_decoded_values() {
-        let values = top7();
-        let line = FvcLine::encode(0, &[5, 0, 4, 9], &values);
-        let words: Vec<_> = line.frequent_words(&values).collect();
-        assert_eq!(words, vec![(1, 0), (2, 4)]);
+        assert!(!line.dirty);
     }
 
     #[test]
@@ -407,11 +349,11 @@ mod tests {
         let mut fvc = Fvc::new(16, 8, &values);
         assert_eq!(fvc.data_bytes(), 16.0 * 8.0 * 3.0 / 8.0);
         let line = FvcLine::encode(0x200, &[0; 8], &values);
-        assert!(fvc.install(line.clone()).is_none());
+        assert!(fvc.install(line).is_none());
         let slot = fvc.probe(0x21c).unwrap();
-        assert_eq!(fvc.code_at(slot, 0x200), 0); // code for value 0
+        assert!(fvc.is_frequent(slot, 0x200));
         let taken = fvc.take(slot);
-        assert_eq!(taken.line_addr, 0x200);
+        assert_eq!(taken, line);
         assert!(fvc.probe(0x200).is_none());
     }
 
@@ -430,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn set_associative_fvc_keeps_conflicting_lines() {
+    fn set_associative_fvc_keeps_conflicting_lines_and_evicts_lru() {
         let values = top7();
         let mut fvc = Fvc::with_associativity(4, 8, &values, 2);
         fvc.install(FvcLine::encode(0x000, &[0; 8], &values));
@@ -439,19 +381,25 @@ mod tests {
             .is_none());
         assert!(fvc.probe(0x000).is_some());
         assert!(fvc.probe(0x040).is_some());
+        // Touch 0x000: 0x040 is now the least recent of the set.
+        fvc.touch(fvc.probe(0x000).unwrap());
+        let evicted = fvc.install(FvcLine::encode(0x080, &[0; 8], &values));
+        assert_eq!(evicted.unwrap().line_addr, 0x040);
     }
 
     #[test]
-    fn set_code_marks_dirty_and_updates() {
+    fn set_frequent_marks_dirty_and_servable() {
         let values = top7();
         let mut fvc = Fvc::new(4, 8, &values);
         fvc.install(FvcLine::encode(0x000, &[999; 8], &values));
         let slot = fvc.probe(0x004).unwrap();
-        assert_eq!(fvc.code_at(slot, 0x004), 0b111);
-        fvc.set_code(slot, 0x004, values.encode(1).unwrap());
-        assert_eq!(fvc.code_at(slot, 0x004), 2);
+        assert!(!fvc.is_frequent(slot, 0x004));
+        fvc.set_frequent(slot, 0x004);
+        assert!(fvc.is_frequent(slot, 0x004));
+        assert!(!fvc.is_frequent(slot, 0x008));
         let line = fvc.take(slot);
         assert!(line.dirty);
+        assert_eq!(line.frequent, 0b10);
     }
 
     #[test]
@@ -475,5 +423,11 @@ mod tests {
         let mut fvc = Fvc::new(4, 8, &values);
         fvc.install(FvcLine::encode(0x0, &[0; 8], &values));
         fvc.install(FvcLine::encode(0x0, &[0; 8], &values));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn oversized_lines_are_rejected() {
+        Fvc::new(4, 128, &top7());
     }
 }

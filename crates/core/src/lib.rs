@@ -11,13 +11,20 @@
 //! fraction of the SRAM cost.
 //!
 //! * [`FrequentValueSet`] — the ≤127 frequent values and their encoding.
-//! * [`CodeArray`] — a bit-packed per-word code vector (a compressed
-//!   line: 8 words × 3 bits = 24 bits, the paper's Figure 7).
-//! * [`Fvc`] — the value-centric cache structure itself.
+//! * [`Fvc`] — the value-centric cache structure itself, modelled as a
+//!   tag, a dirty bit and a per-word frequent mask per line.
 //! * [`HybridCache`] — the DMC+FVC controller with the paper's exact
 //!   transfer policy (Section 3).
 //! * [`VictimHybrid`] — a DMC+victim-cache controller, the Figure 15
 //!   baseline.
+//!
+//! The controllers hold no line data. In a single-level cache a
+//! resident line — and every word an FVC line marks frequent — holds
+//! the architectural value, so each controller keeps one
+//! [`fvl_cache::MainMemory`] image that stores update at once, reads
+//! from it what the FVC insert needs, and asserts every load against
+//! it. [`CompressedCache`] is the exception: its line contents are the
+//! modelled state.
 //!
 //! # Example
 //!
@@ -38,7 +45,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-mod code_array;
 mod compressed;
 mod config;
 mod fvc;
@@ -50,10 +56,9 @@ mod online;
 mod value_set;
 mod victim_hybrid;
 
-pub use code_array::CodeArray;
 pub use compressed::CompressedCache;
 pub use config::HybridConfig;
-pub use fvc::{Fvc, FvcLine};
+pub use fvc::{Fvc, FvcLine, MAX_FVC_WORDS};
 pub use hybrid::HybridCache;
 pub use hybrid_stats::HybridStats;
 pub use online::{OnlineHybrid, ValueSketch, ALWAYS_RESIDENT};

@@ -1,8 +1,10 @@
 //! A DMC + victim-cache controller (Jouppi), the paper's Figure 15
 //! comparison baseline.
 
-use fvl_cache::{CacheGeometry, CacheStats, DataCache, MainMemory, Simulator, VictimCache};
-use fvl_mem::{Access, AccessKind, AccessSink, Word};
+use fvl_cache::{
+    CacheGeometry, CacheStats, DataCache, EvictedLine, LineTag, MainMemory, Simulator, VictimCache,
+};
+use fvl_mem::{Access, AccessKind, AccessSink};
 use std::fmt;
 
 /// A write-back direct-mapped (or set-associative) cache backed by a
@@ -33,7 +35,6 @@ pub struct VictimHybrid {
     stats: CacheStats,
     vc_hits: u64,
     verify: bool,
-    line_buf: Vec<Word>,
     flushed: bool,
 }
 
@@ -45,15 +46,13 @@ impl VictimHybrid {
     ///
     /// Panics if `vc_entries` is zero.
     pub fn new(geom: CacheGeometry, vc_entries: usize) -> Self {
-        let wpl = geom.words_per_line();
         VictimHybrid {
             dmc: DataCache::new(geom),
-            vc: VictimCache::new(vc_entries, wpl),
+            vc: VictimCache::new(vc_entries, geom.words_per_line()),
             memory: MainMemory::new(),
             stats: CacheStats::new(),
             vc_hits: 0,
             verify: true,
-            line_buf: vec![0; wpl as usize],
             flushed: false,
         }
     }
@@ -73,34 +72,36 @@ impl VictimHybrid {
         &self.vc
     }
 
-    /// The backing memory.
+    /// The backing memory: the architectural image and the traffic
+    /// counters.
     pub fn memory(&self) -> &MainMemory {
         &self.memory
+    }
+
+    fn write_back(&mut self, dirty: bool) {
+        if dirty {
+            let wpl = self.dmc.geometry().words_per_line();
+            self.memory.count_write_back(u64::from(wpl));
+            self.stats.writebacks += 1;
+        }
     }
 
     /// Flushes all dirty state to memory.
     pub fn flush(&mut self) {
         for line in self.dmc.drain() {
-            if line.dirty {
-                self.memory.write_line(line.line_addr, &line.data);
-                self.stats.writebacks += 1;
-            }
+            self.write_back(line.dirty);
         }
         for line in self.vc.drain() {
-            if line.dirty {
-                self.memory.write_line(line.line_addr, &line.data);
-                self.stats.writebacks += 1;
-            }
+            self.write_back(line.dirty);
         }
     }
 
-    fn serve(&mut self, access: Access) {
-        let slot = self.dmc.probe(access.addr).expect("resident");
+    fn serve(&mut self, access: Access, slot: usize) {
         self.dmc.touch(slot);
         match access.kind {
             AccessKind::Load => {
-                let value = self.dmc.read_word(slot, access.addr);
                 if self.verify {
+                    let value = self.memory.peek(access.addr);
                     assert_eq!(
                         value, access.value,
                         "victim hybrid returned {value:#x}, trace expects {:#x} at {:#x}",
@@ -108,16 +109,24 @@ impl VictimHybrid {
                     );
                 }
             }
-            AccessKind::Store => self.dmc.write_word(slot, access.addr, access.value),
+            AccessKind::Store => {
+                self.memory.poke(access.addr, access.value);
+                self.dmc.write(slot, &self.memory);
+            }
         }
     }
 
-    fn insert_into_vc(&mut self, line: fvl_cache::EvictedLine) {
-        if let Some(displaced) = self.vc.insert(line) {
-            if displaced.dirty {
-                self.memory.write_line(displaced.line_addr, &displaced.data);
-                self.stats.writebacks += 1;
-            }
+    /// Moves a line displaced from the DMC into the victim cache,
+    /// writing back whatever the victim cache displaces in turn.
+    fn insert_into_vc(&mut self, evicted: Option<LineTag>) {
+        let Some(line) = evicted else { return };
+        let displaced = self.vc.insert(EvictedLine {
+            line_addr: line.line_addr,
+            dirty: line.dirty,
+            data: Vec::new(),
+        });
+        if let Some(displaced) = displaced {
+            self.write_back(displaced.dirty);
         }
     }
 
@@ -131,12 +140,15 @@ impl VictimHybrid {
             self.dmc.touch(slot);
             match access.kind {
                 AccessKind::Load => {
-                    let value = self.dmc.read_word(slot, addr);
                     if self.verify {
+                        let value = self.memory.peek(addr);
                         assert_eq!(value, access.value, "DMC value mismatch at {addr:#x}");
                     }
                 }
-                AccessKind::Store => self.dmc.write_word(slot, addr, access.value),
+                AccessKind::Store => {
+                    self.memory.poke(addr, access.value);
+                    self.dmc.write(slot, &self.memory);
+                }
             }
             return;
         }
@@ -149,11 +161,9 @@ impl VictimHybrid {
                 AccessKind::Store => self.stats.write_hits += 1,
             }
             let line = self.vc.take(vslot);
-            let evicted = self.dmc.install(line.line_addr, &line.data, line.dirty);
-            if let Some(ev) = evicted {
-                self.insert_into_vc(ev);
-            }
-            self.serve(access);
+            let (slot, evicted) = self.dmc.install(line.line_addr, line.dirty, &self.memory);
+            self.insert_into_vc(evicted);
+            self.serve(access, slot);
             return;
         }
         // Miss everywhere: fetch, install, displaced line -> VC.
@@ -162,13 +172,12 @@ impl VictimHybrid {
             AccessKind::Store => self.stats.write_misses += 1,
         }
         let line_addr = self.dmc.geometry().line_addr(addr);
-        self.memory.read_line(line_addr, &mut self.line_buf);
+        let wpl = self.dmc.geometry().words_per_line();
+        self.memory.count_fetch(u64::from(wpl));
         self.stats.fetches += 1;
-        let evicted = self.dmc.install(line_addr, &self.line_buf, false);
-        if let Some(ev) = evicted {
-            self.insert_into_vc(ev);
-        }
-        self.serve(access);
+        let (slot, evicted) = self.dmc.install(line_addr, false, &self.memory);
+        self.insert_into_vc(evicted);
+        self.serve(access, slot);
     }
 }
 
@@ -245,9 +254,13 @@ mod tests {
         h.on_access(Access::store(b, 9));
         h.on_access(Access::load(a, 7)); // swapped back from VC, dirty intact
         h.on_access(Access::load(b, 9));
+        assert_eq!(h.stats().writebacks, 0, "both lines still on chip");
         h.on_finish();
-        assert_eq!(h.memory().peek(a), 7);
-        assert_eq!(h.memory().peek(b), 9);
+        // Both lines were dirtied once and swapped twice; a dirty bit
+        // lost on a swap would skip its write-back here.
+        assert_eq!(h.stats().writebacks, 2);
+        assert_eq!(h.memory().words_in(), 16);
+        assert_eq!(h.memory().words_out(), 16, "two cold fetches");
     }
 
     #[test]
@@ -257,11 +270,12 @@ mod tests {
         for i in 0..6u32 {
             h.on_access(Access::store(0x100 + i * 1024, i));
         }
-        assert!(h.stats().writebacks >= 1);
+        // One line in the DMC, four in the VC: line 0 fell out dirty.
+        assert_eq!(h.stats().writebacks, 1);
+        assert_eq!(h.memory().words_in(), 8);
         h.on_finish();
-        for i in 0..6u32 {
-            assert_eq!(h.memory().peek(0x100 + i * 1024), i);
-        }
+        assert_eq!(h.stats().writebacks, 6, "every dirty line written once");
+        assert_eq!(h.memory().words_in(), 48);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn dirty_line_written_back_only_when_displaced_from_vc() {
         h.on_access(Access::load(0x100 + i * 1024, 0));
     }
     assert_eq!(h.stats().writebacks, 1, "displaced dirty line written back");
-    assert_eq!(h.memory().peek(0x100), 42);
+    assert_eq!(h.memory().words_in(), 8, "one whole line");
     // The value is still loadable (from memory) afterwards.
     h.on_access(Access::load(0x100, 42));
 }
@@ -71,8 +71,10 @@ fn dirty_bit_survives_a_swap_round_trip() {
     h.on_access(Access::load(a, 7)); // swap back: dirty must survive
     assert_eq!(h.stats().writebacks, 0, "nothing displaced yet");
     h.on_finish();
-    assert_eq!(h.memory().peek(a), 7, "flush wrote the dirty line");
-    assert!(h.stats().writebacks >= 1);
+    // `a` is dirty in the DMC, `b` clean in the VC: the flush writes
+    // back exactly `a`, which it misses if the swap dropped the bit.
+    assert_eq!(h.stats().writebacks, 1, "flush wrote the dirty line");
+    assert_eq!(h.memory().words_in(), 8);
 }
 
 #[test]

@@ -1,15 +1,19 @@
 //! Sparse paged backing store for the simulated 32-bit address space.
 
 use crate::layout::{Addr, Word, WORD_BYTES};
-use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Words per page (4 KiB pages).
 pub(crate) const PAGE_WORDS: usize = 1024;
 const PAGE_SHIFT: u32 = 12; // 4096 bytes
+/// Pages per page table: one table maps 4 MiB of address space.
+const TABLE_PAGES: usize = 1024;
+const TABLE_SHIFT: u32 = 22; // PAGE_SHIFT + log2(TABLE_PAGES)
+/// Page tables in the directory: 1024 tables cover the 32-bit space.
+const DIR_TABLES: usize = 1 << (32 - TABLE_SHIFT);
 
 type Page = [Word; PAGE_WORDS];
+type Table = [Option<Box<Page>>; TABLE_PAGES];
 
 /// Sparse, paged, word-addressable simulated memory.
 ///
@@ -17,12 +21,10 @@ type Page = [Word; PAGE_WORDS];
 /// like freshly mapped pages on a real OS. `SimMemory` itself performs no
 /// tracing — that is [`crate::TracedMemory`]'s job.
 ///
-/// Pages live in an append-only arena and are located through a page
-/// table plus a one-entry last-page cache (a software "TLB"): word
-/// accesses exhibit strong page locality, so the common case skips the
-/// page-table hash lookup entirely. Arena slots are never freed or
-/// reordered while the memory is alive, which is what makes the cached
-/// slot index safe to reuse.
+/// Pages are found through a two-level radix page table, like an MMU's:
+/// the top 10 address bits pick a page table, the next 10 a page. A
+/// lookup is two indexed loads with no hashing, which matters because
+/// every cache sink checks each load against its memory image.
 ///
 /// # Example
 ///
@@ -34,14 +36,22 @@ type Page = [Word; PAGE_WORDS];
 /// mem.write(0x8000, 0xdead_beef);
 /// assert_eq!(mem.read(0x8000), 0xdead_beef);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct SimMemory {
-    /// Page number -> arena slot.
-    table: HashMap<u32, u32>,
-    /// Materialized pages, in first-touch order; never shrinks.
-    arena: Vec<Box<Page>>,
-    /// Last (page number, arena slot) translated, if any.
-    last: Cell<Option<(u32, u32)>>,
+    /// Page tables by the top 10 address bits; `None` until a page in
+    /// its 4 MiB is materialized.
+    dir: Box<[Option<Box<Table>>; DIR_TABLES]>,
+    /// Materialized pages.
+    pages: usize,
+}
+
+impl Default for SimMemory {
+    fn default() -> Self {
+        SimMemory {
+            dir: Box::new(std::array::from_fn(|_| None)),
+            pages: 0,
+        }
+    }
 }
 
 impl SimMemory {
@@ -50,26 +60,15 @@ impl SimMemory {
         Self::default()
     }
 
+    /// (page table, page within it, word within the page) of `addr`.
     #[inline]
-    fn split(addr: Addr) -> (u32, usize) {
+    fn split(addr: Addr) -> (usize, usize, usize) {
         debug_assert_eq!(addr % WORD_BYTES, 0, "unaligned word address {addr:#x}");
         (
-            addr >> PAGE_SHIFT,
+            (addr >> TABLE_SHIFT) as usize,
+            ((addr >> PAGE_SHIFT) as usize) & (TABLE_PAGES - 1),
             ((addr >> 2) as usize) & (PAGE_WORDS - 1),
         )
-    }
-
-    /// Arena slot for `page`, consulting the one-entry cache first.
-    #[inline]
-    fn lookup(&self, page: u32) -> Option<u32> {
-        if let Some((cached, slot)) = self.last.get() {
-            if cached == page {
-                return Some(slot);
-            }
-        }
-        let slot = *self.table.get(&page)?;
-        self.last.set(Some((page, slot)));
-        Some(slot)
     }
 
     /// Reads the word at `addr`.
@@ -79,9 +78,9 @@ impl SimMemory {
     /// Panics (in debug builds) if `addr` is not 4-byte aligned.
     #[inline]
     pub fn read(&self, addr: Addr) -> Word {
-        let (page, idx) = Self::split(addr);
-        match self.lookup(page) {
-            Some(slot) => self.arena[slot as usize][idx],
+        let (table, page, idx) = Self::split(addr);
+        match &self.dir[table] {
+            Some(table) => table[page].as_ref().map_or(0, |page| page[idx]),
             None => 0,
         }
     }
@@ -93,37 +92,35 @@ impl SimMemory {
     /// Panics (in debug builds) if `addr` is not 4-byte aligned.
     #[inline]
     pub fn write(&mut self, addr: Addr, value: Word) {
-        let (page, idx) = Self::split(addr);
-        if let Some(slot) = self.lookup(page) {
-            self.arena[slot as usize][idx] = value;
+        let (table, page, idx) = Self::split(addr);
+        if let Some(page) = self.dir[table].as_mut().and_then(|t| t[page].as_mut()) {
+            page[idx] = value;
             return;
         }
         if value == 0 {
             // Writing zero into an unmaterialized page is a no-op.
             return;
         }
-        let slot = u32::try_from(self.arena.len()).expect("fewer than 2^32 pages");
-        self.arena.push(Box::new([0; PAGE_WORDS]));
-        self.table.insert(page, slot);
-        self.last.set(Some((page, slot)));
-        self.arena[slot as usize][idx] = value;
+        let table = self.dir[table].get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
+        table[page].insert(Box::new([0; PAGE_WORDS]))[idx] = value;
+        self.pages += 1;
     }
 
     /// Number of materialized 4 KiB pages.
     pub fn resident_pages(&self) -> usize {
-        self.arena.len()
+        self.pages
     }
 
     /// Resident simulated bytes (materialized pages only).
     pub fn resident_bytes(&self) -> usize {
-        self.arena.len() * PAGE_WORDS * WORD_BYTES as usize
+        self.pages * PAGE_WORDS * WORD_BYTES as usize
     }
 }
 
 impl fmt::Debug for SimMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimMemory")
-            .field("resident_pages", &self.arena.len())
+            .field("resident_pages", &self.pages)
             .finish()
     }
 }
@@ -177,23 +174,23 @@ mod tests {
     }
 
     #[test]
-    fn page_cache_survives_interleaving_and_clone() {
+    fn interleaved_pages_and_clones_stay_independent() {
         let mut mem = SimMemory::new();
-        // Alternate between two pages so the one-entry cache keeps
-        // being evicted and refilled.
+        // Alternate between two pages in different page tables (4 MiB
+        // apart).
         for i in 0..PAGE_WORDS as u32 {
             mem.write(i * 4, i);
-            mem.write(0x10_0000 + i * 4, !i);
+            mem.write(0x40_0000 + i * 4, !i);
         }
         for i in 0..PAGE_WORDS as u32 {
             assert_eq!(mem.read(i * 4), i);
-            assert_eq!(mem.read(0x10_0000 + i * 4), !i);
+            assert_eq!(mem.read(0x40_0000 + i * 4), !i);
         }
         assert_eq!(mem.resident_pages(), 2);
-        // A clone carries the same contents and an equally valid cache.
+        // A clone carries the same contents.
         let copy = mem.clone();
         assert_eq!(copy.read(4), 1);
-        assert_eq!(copy.read(0x10_0004), !1);
+        assert_eq!(copy.read(0x40_0004), !1);
         // Writes to the original do not leak into the clone.
         mem.write(4, 999);
         assert_eq!(copy.read(4), 1);

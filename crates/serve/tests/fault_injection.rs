@@ -151,7 +151,7 @@ fn delayed_frame_forces_exactly_one_retry() {
 fn dropped_done_frame_is_retried_to_success() {
     use fvl_mem::{Access, PackedTrace, Trace, TraceEvent};
     let trace = Trace::from_events(vec![
-        TraceEvent::Access(Access::load(0x10, 7)),
+        TraceEvent::Access(Access::load(0x10, 0)),
         TraceEvent::Access(Access::store(0x20, 7)),
     ]);
     let mut bytes = Vec::new();

@@ -7,8 +7,9 @@
 //! untrusted length (the hostile-length test sends only a 13-byte
 //! header, so the rejection can only come from the declared length).
 
-use fvl_bench::remote::{RemoteClient, SessionSpec};
+use fvl_bench::remote::{RemoteClient, RemoteError, SessionSpec};
 use fvl_mem::frame::{self, ErrorCode, FrameKind, FrameReadError, MAX_FRAME_LEN};
+use fvl_mem::{Access, PackedTrace, Trace, TraceEvent};
 use fvl_serve::{Daemon, DaemonHandle, ServeConfig};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -211,6 +212,55 @@ fn unknown_job_is_refused_but_the_session_survives() {
     assert_eq!(code, ErrorCode::UnknownJob);
     frame::write_frame(&mut stream, FrameKind::Bye, 2, b"").expect("send bye");
     assert_closed(&mut stream);
+    handle.shutdown();
+}
+
+/// The bytes of a trace file holding `accesses`.
+fn trace_bytes(accesses: &[Access]) -> Vec<u8> {
+    let events = accesses.iter().map(|&a| TraceEvent::Access(a)).collect();
+    let mut bytes = Vec::new();
+    PackedTrace::from_trace(&Trace::from_events(events))
+        .write_to(&mut bytes)
+        .expect("in-memory write");
+    bytes
+}
+
+/// A well-formed upload whose load disagrees with its own stores (a
+/// load of 5 from never-written memory) is refused with BAD_TRACE
+/// instead of crashing the session when simulated; the same session
+/// then uploads a consistent trace and simulates it, and the daemon
+/// keeps accepting connections.
+#[test]
+fn inconsistent_upload_is_a_bad_trace_and_the_session_survives() {
+    let handle = daemon();
+    let spec = SessionSpec::smoke("corrupt");
+    let mut client = RemoteClient::connect(handle.local_addr(), &spec, Duration::from_secs(10))
+        .expect("connect");
+    match client.upload_trace(&trace_bytes(&[Access::load(0x100, 5)])) {
+        Err(RemoteError::Rejected(code, msg)) => {
+            assert_eq!(code, ErrorCode::BadTrace);
+            assert!(msg.contains("0x100"), "{msg}");
+        }
+        other => panic!("inconsistent upload not refused: {other:?}"),
+    }
+    let good = trace_bytes(&[
+        Access::load(0x100, 0),
+        Access::store(0x100, 5),
+        Access::load(0x100, 5),
+    ]);
+    assert_eq!(client.upload_trace(&good).expect("consistent upload"), 3);
+    let result = client
+        .simulate("size=1024\nline=16\nassoc=1\n")
+        .expect("simulation of the consistent upload");
+    assert!(
+        result.contains(&("accesses".to_string(), "3".to_string())),
+        "{result:?}"
+    );
+    client.bye().expect("clean close");
+    RemoteClient::connect(handle.local_addr(), &spec, Duration::from_secs(10))
+        .expect("daemon still serving")
+        .bye()
+        .expect("clean close");
     handle.shutdown();
 }
 

@@ -5,6 +5,7 @@ use fvl::core::{FrequentValueSet, HybridCache, HybridConfig, VictimHybrid};
 use fvl::mem::{Trace, TraceBuffer, TracedMemory};
 use fvl::profile::ValueCounter;
 use fvl::workloads::{by_name, InputSize};
+use fvl_check::OracleHybrid;
 
 fn capture(name: &str) -> (Trace, Vec<u32>) {
     let mut workload = by_name(name, InputSize::Test, 1).expect("known workload");
@@ -48,15 +49,32 @@ fn all_controllers_stay_coherent_on_every_workload() {
     }
 }
 
-/// After a full run plus flush, the hybrid's memory image must be
-/// identical to a plain write-through reconstruction of the trace.
+/// After a full run plus flush, the hybrid must have written back
+/// exactly what the data-carrying reference hybrid writes back — every
+/// counter and the words moved each way agree — and the reference's
+/// memory must be identical to a plain write-through reconstruction of
+/// the trace. A lost or extra write-back in the hybrid breaks the first
+/// check; a write-back policy that loses data breaks the second.
 #[test]
 fn hybrid_flush_reconstructs_memory_exactly() {
     let (trace, ranking) = capture("li");
     let geom = CacheGeometry::new(4 * 1024, 32, 1).unwrap();
     let values = FrequentValueSet::from_ranking(&ranking, 7).unwrap();
+    let mut oracle = OracleHybrid::new((4 * 1024, 32, 1), 128, 1, values.values().to_vec(), 4096);
     let mut hybrid = HybridCache::new(HybridConfig::new(geom, 128, values));
     trace.replay(&mut hybrid);
+    trace.replay(&mut oracle);
+    let memory = hybrid.memory();
+    assert!(
+        oracle
+            .stats()
+            .matches(hybrid.hybrid_stats(), memory.words_out(), memory.words_in()),
+        "hybrid {:?} (words out {}, in {}) vs oracle {:?}",
+        hybrid.hybrid_stats(),
+        memory.words_out(),
+        memory.words_in(),
+        oracle.stats()
+    );
 
     // Reconstruct ground truth from the trace's stores.
     let mut truth = fvl::mem::SimMemory::new();
@@ -67,7 +85,7 @@ fn hybrid_flush_reconstructs_memory_exactly() {
     }
     for a in trace.iter_accesses() {
         assert_eq!(
-            hybrid.memory().peek(a.addr),
+            oracle.peek_memory(a.addr),
             truth.read(a.addr),
             "mismatch at {:#x}",
             a.addr

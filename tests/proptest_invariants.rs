@@ -6,11 +6,12 @@
 
 use fvl::cache::{CacheGeometry, CacheSim, Simulator};
 use fvl::core::{
-    CodeArray, CompressedCache, FrequentValueSet, FvcLine, HybridCache, HybridConfig, VictimHybrid,
+    CompressedCache, FrequentValueSet, FvcLine, HybridCache, HybridConfig, VictimHybrid,
 };
 use fvl::mem::{Access, AccessSink};
+use fvl_check::{OracleCache, OracleHybrid, OraclePolicy};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Strategy producing any realizable direct-mapped/set-associative
 /// geometry up to 64 KB.
@@ -29,27 +30,6 @@ fn any_geometry() -> impl Strategy<Value = CacheGeometry> {
 }
 
 proptest! {
-    /// CodeArray is a faithful packed vector for every width.
-    #[test]
-    fn code_array_round_trips(
-        width in 1u32..=7,
-        writes in prop::collection::vec((0u32..64, 0u8..128), 1..200),
-    ) {
-        let mut array = CodeArray::new(width, 64);
-        let mut shadow = [0u8; 64];
-        for (idx, code) in writes {
-            let code = code % (1 << width);
-            array.set(idx, code);
-            shadow[idx as usize] = code;
-        }
-        for i in 0..64 {
-            prop_assert_eq!(array.get(i), shadow[i as usize]);
-        }
-        let marker = array.infrequent_code();
-        let expected = shadow.iter().filter(|&&c| c != marker).count() as u32;
-        prop_assert_eq!(array.frequent_count(), expected);
-    }
-
     /// encode/decode are inverse on members; encode rejects non-members.
     #[test]
     fn value_set_encoding_is_consistent(values in prop::collection::hash_set(any::<u32>(), 1..40)) {
@@ -67,27 +47,18 @@ proptest! {
         }
     }
 
-    /// Encoding a line and merging it back over its own memory image is
-    /// the identity; merging over garbage restores exactly the frequent
-    /// words.
+    /// Encoding a line marks exactly its frequent words servable.
     #[test]
-    fn fvc_line_encode_merge_identity(
+    fn fvc_line_encode_marks_exactly_the_frequent_words(
         line in prop::collection::vec(0u32..16, 8),
         freq in prop::collection::hash_set(0u32..16, 1..8),
     ) {
         let values = FrequentValueSet::new(freq.iter().copied().collect()).unwrap();
         let encoded = FvcLine::encode(0x100, &line, &values);
-        let mut image = line.clone();
-        encoded.merge_into(&mut image, &values);
-        prop_assert_eq!(&image, &line);
-        let mut garbage = vec![0xdead_beefu32; 8];
-        encoded.merge_into(&mut garbage, &values);
-        for (i, (&orig, &merged)) in line.iter().zip(garbage.iter()).enumerate() {
-            if freq.contains(&orig) {
-                prop_assert_eq!(merged, orig, "frequent word {}", i);
-            } else {
-                prop_assert_eq!(merged, 0xdead_beef, "infrequent word {}", i);
-            }
+        prop_assert!(!encoded.dirty);
+        for (i, word) in line.iter().enumerate() {
+            let servable = encoded.frequent >> i & 1 == 1;
+            prop_assert_eq!(servable, freq.contains(word), "word {}", i);
         }
     }
 }
@@ -165,42 +136,63 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The hybrid is a transparent memory: every load returns what a
-    /// flat shadow memory holds, hits+misses conserve, the exclusivity
-    /// invariant holds throughout, and flushing reproduces the shadow.
+    /// flat shadow memory holds (its internal oracle panics otherwise),
+    /// the exclusivity invariant holds throughout, and every counter —
+    /// write-backs and the words they move included — equals the
+    /// data-carrying [`OracleHybrid`] on the same program, whose memory
+    /// reproduces the shadow after the flush. A lost write-back shows
+    /// as a short `writebacks`/`words_in`.
     #[test]
     fn hybrid_behaves_like_flat_memory(program in access_program()) {
         let geom = CacheGeometry::new(1024, 32, 1).unwrap();
-        let values = FrequentValueSet::new(vec![0, 1, 2, 3, 4, 5, 6]).unwrap();
+        let frequent = vec![0, 1, 2, 3, 4, 5, 6];
+        let values = FrequentValueSet::new(frequent.clone()).unwrap();
         let mut hybrid = HybridCache::new(HybridConfig::new(geom, 8, values));
+        let mut oracle = OracleHybrid::new((1024, 32, 1), 8, 1, frequent, 4096);
         let mut shadow: HashMap<u32, u32> = HashMap::new();
         for (addr, op) in &program {
-            match op {
+            let access = match op {
                 Some(value) => {
                     shadow.insert(*addr, *value);
-                    hybrid.on_access(Access::store(*addr, *value));
+                    Access::store(*addr, *value)
                 }
-                None => {
-                    let expected = shadow.get(addr).copied().unwrap_or(0);
-                    // The internal oracle panics on mismatch.
-                    hybrid.on_access(Access::load(*addr, expected));
-                }
-            }
+                None => Access::load(*addr, shadow.get(addr).copied().unwrap_or(0)),
+            };
+            hybrid.on_access(access);
+            oracle.on_access(access);
         }
         prop_assert!(hybrid.is_exclusive());
         prop_assert_eq!(hybrid.stats().accesses(), program.len() as u64);
         hybrid.on_finish();
+        oracle.on_finish();
+        let memory = hybrid.memory();
+        prop_assert!(
+            oracle.stats().matches(hybrid.hybrid_stats(), memory.words_out(), memory.words_in()),
+            "hybrid {:?} (words out {}, in {}) vs oracle {:?}",
+            hybrid.hybrid_stats(),
+            memory.words_out(),
+            memory.words_in(),
+            oracle.stats()
+        );
         for (addr, value) in shadow {
-            prop_assert_eq!(hybrid.memory().peek(addr), value);
+            prop_assert_eq!(oracle.peek_memory(addr), value);
         }
     }
 
-    /// The conventional simulator and the victim hybrid satisfy the same
-    /// transparency property.
+    /// The conventional simulator and the victim hybrid are transparent
+    /// too (their internal oracles check every load), and they write
+    /// back exactly what a data-carrying reference writes back: the
+    /// plain cache matches the [`OracleCache`] stat for stat, and the
+    /// victim hybrid matches a naive DMC + LRU victim buffer that
+    /// tracks dirty bits across swaps. A lost write-back shows as a
+    /// short `writebacks`/`words_in`.
     #[test]
     fn conventional_and_victim_caches_are_transparent(program in access_program()) {
         let geom = CacheGeometry::new(512, 16, 1).unwrap();
         let mut plain = CacheSim::new(geom);
         let mut victim = VictimHybrid::new(geom, 4);
+        let mut oracle = OracleCache::new(512, 16, 1, OraclePolicy::WriteBack);
+        let mut naive = NaiveVictimHybrid::new(32, 16, 4);
         let mut shadow: HashMap<u32, u32> = HashMap::new();
         for (addr, op) in &program {
             let access = match op {
@@ -212,13 +204,26 @@ proptest! {
             };
             plain.on_access(access);
             victim.on_access(access);
+            oracle.on_access(access);
+            naive.access(*addr, op.is_some());
         }
         plain.on_finish();
         victim.on_finish();
-        for (addr, value) in shadow {
-            prop_assert_eq!(plain.memory().peek(addr), value);
-            prop_assert_eq!(victim.memory().peek(addr), value);
+        oracle.on_finish();
+        naive.flush();
+        prop_assert!(oracle.stats().matches(plain.stats()), "{:?} vs {:?}", plain.stats(), oracle.stats());
+        prop_assert_eq!(plain.memory().words_in(), oracle.stats().writebacks * 4);
+        for (addr, value) in &shadow {
+            prop_assert_eq!(oracle.peek_memory(*addr), *value);
         }
+        let stats = Simulator::stats(&victim);
+        prop_assert_eq!(
+            (stats.misses(), stats.writebacks, victim.vc_hits()),
+            (naive.misses, naive.writebacks, naive.vc_hits)
+        );
+        prop_assert_eq!(victim.memory().words_in(), naive.writebacks * 4);
+        let stored: HashSet<u32> = shadow.keys().map(|addr| addr / 16).collect();
+        prop_assert!(naive.writebacks >= stored.len() as u64, "every stored line goes back");
     }
 
     /// Adding a victim cache never increases the miss count (swap hits
@@ -265,5 +270,72 @@ proptest! {
             large_sim.on_access(access);
         }
         prop_assert!(large_sim.stats().misses() <= small_sim.stats().misses());
+    }
+}
+
+/// A naive direct-mapped cache with a fully-associative LRU victim
+/// buffer (swap on a buffer hit), tracking only which lines are on chip
+/// and whether each is dirty: the reference the victim hybrid's
+/// write-back count is checked against.
+struct NaiveVictimHybrid {
+    line_bytes: u32,
+    /// Per set: the resident line and its dirty bit.
+    dmc: Vec<Option<(u32, bool)>>,
+    /// Victim buffer in recency order (front = least recent).
+    buffer: Vec<(u32, bool)>,
+    entries: usize,
+    misses: u64,
+    writebacks: u64,
+    vc_hits: u64,
+}
+
+impl NaiveVictimHybrid {
+    fn new(sets: usize, line_bytes: u32, entries: usize) -> Self {
+        NaiveVictimHybrid {
+            line_bytes,
+            dmc: vec![None; sets],
+            buffer: Vec::new(),
+            entries,
+            misses: 0,
+            writebacks: 0,
+            vc_hits: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u32, store: bool) {
+        let line = addr / self.line_bytes;
+        let set = line as usize % self.dmc.len();
+        if let Some((resident, dirty)) = &mut self.dmc[set] {
+            if *resident == line {
+                *dirty |= store;
+                return;
+            }
+        }
+        let incoming = match self.buffer.iter().position(|&(l, _)| l == line) {
+            Some(pos) => {
+                self.vc_hits += 1;
+                self.buffer.remove(pos)
+            }
+            None => {
+                self.misses += 1;
+                (line, false)
+            }
+        };
+        if let Some(displaced) = self.dmc[set].replace((incoming.0, incoming.1 | store)) {
+            if self.buffer.len() == self.entries && self.buffer.remove(0).1 {
+                self.writebacks += 1;
+            }
+            self.buffer.push(displaced);
+        }
+    }
+
+    fn flush(&mut self) {
+        let dirty = self
+            .dmc
+            .iter()
+            .flatten()
+            .chain(&self.buffer)
+            .filter(|l| l.1);
+        self.writebacks += dirty.count() as u64;
     }
 }
