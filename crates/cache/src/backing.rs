@@ -88,12 +88,22 @@ impl MainMemory {
         self.mem.read(addr)
     }
 
-    /// Reads `buf.len()` consecutive words from `line_addr` without
-    /// counting traffic (the line contents a content-sensitive policy
-    /// or the FVC insert inspects).
+    /// Reads `buf.len()` consecutive words from the line address
+    /// `line_addr` without counting traffic (the line contents a
+    /// content-sensitive policy or the FVC insert inspects). A line
+    /// lies within one page, which is looked up once; a line longer
+    /// than a page (a served `sim` request may ask for one) is read
+    /// page by page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the words cross a page boundary inside a page-sized
+    /// part, i.e. if `line_addr` is not aligned to the line.
     pub fn peek_line(&self, line_addr: Addr, buf: &mut [Word]) {
-        for (i, slot) in buf.iter_mut().enumerate() {
-            *slot = self.mem.read(line_addr + i as u32 * WORD_BYTES);
+        let page_words = (SimMemory::PAGE_BYTES / WORD_BYTES) as usize;
+        for (i, part) in buf.chunks_mut(page_words).enumerate() {
+            self.mem
+                .read_words(line_addr + i as u32 * SimMemory::PAGE_BYTES, part);
         }
     }
 
@@ -155,6 +165,31 @@ mod tests {
         m.peek_line(0x10, &mut line);
         assert_eq!(line, [3, 0, 0, 0]);
         assert_eq!(m.total_traffic_words(), 0);
+    }
+
+    #[test]
+    fn peek_line_equals_word_by_word_peeks() {
+        let mut m = MainMemory::new();
+        for i in 0..2048u32 {
+            m.poke(0x4000 + i * 4, i ^ 0x55);
+        }
+        let by_word = |m: &MainMemory, addr: Addr, n: u32| -> Vec<Word> {
+            (0..n).map(|i| m.peek(addr + i * 4)).collect()
+        };
+        // Materialized, unmaterialized (zeros), the last line of a
+        // page, and a line of two whole pages.
+        for (addr, n) in [(0x4020, 8), (0x9000, 16), (0x4fc0, 16), (0x4000, 2048)] {
+            let mut buf = vec![7; n as usize];
+            m.peek_line(addr, &mut buf);
+            assert_eq!(buf, by_word(&m, addr, n), "{addr:#x}");
+        }
+        assert_eq!(m.total_traffic_words(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "page boundary")]
+    fn peek_line_straddling_a_page_panics() {
+        MainMemory::new().peek_line(0x0ff0, &mut [0; 8]);
     }
 
     #[test]

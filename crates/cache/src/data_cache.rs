@@ -28,6 +28,15 @@ fn find(ways: &[Addr], tag: Addr) -> Option<usize> {
     })
 }
 
+/// Loads the words of `line_addr` from `image` into a policy-hook
+/// buffer, if the policy inspects contents (else the buffer is empty).
+#[inline]
+fn gather(contents: &mut [Word], line_addr: Addr, image: &MainMemory) {
+    if !contents.is_empty() {
+        image.peek_line(line_addr, contents);
+    }
+}
+
 /// The tag and dirty bit of a line leaving (or resident in) a
 /// [`DataCache`]: everything a controller needs to count its
 /// write-back or forward it to a frequent value cache, whose words it
@@ -64,6 +73,13 @@ pub struct EvictedLine {
 /// Tags are stored struct-of-arrays, so a probe scans a dense `u32`
 /// column — the whole cache for a fully-associative geometry.
 ///
+/// A direct-mapped cache (associativity 1) builds no replacement
+/// policy: its set has one way, which is always the victim, so no
+/// policy state can change an outcome. A probe is one tag compare,
+/// [`DataCache::touch`] does nothing, [`DataCache::write`] only sets
+/// the dirty bit and [`DataCache::install`] swaps the tag.
+/// [`DataCache::replacement`] still reports the configured kind.
+///
 /// `DataCache` never talks to memory itself. Controllers
 /// ([`crate::CacheSim`], the hybrid controllers in `fvl-core`) decide
 /// when to fetch, install and write back, which keeps each policy in
@@ -91,7 +107,8 @@ pub struct DataCache {
     tags: Vec<Addr>,
     dirty: Vec<bool>,
     kind: ReplacementKind,
-    policy: Replacement,
+    /// The replacement state; `None` for a direct-mapped cache.
+    policy: Option<Replacement>,
     /// Buffer for the line words a content-sensitive policy reads from
     /// the image; empty (and never filled) for every other policy.
     contents: Vec<Word>,
@@ -108,8 +125,9 @@ impl DataCache {
     /// replacement policy.
     pub fn with_replacement(geom: CacheGeometry, kind: ReplacementKind) -> Self {
         let lines = geom.lines() as usize;
-        let contents = match kind {
-            ReplacementKind::PinnedLru => vec![0; geom.words_per_line() as usize],
+        let policy = (geom.associativity() > 1).then(|| kind.build(&geom));
+        let contents = match (kind, &policy) {
+            (ReplacementKind::PinnedLru, Some(_)) => vec![0; geom.words_per_line() as usize],
             _ => Vec::new(),
         };
         DataCache {
@@ -118,7 +136,7 @@ impl DataCache {
             tags: vec![EMPTY; lines],
             dirty: vec![false; lines],
             kind,
-            policy: kind.build(&geom),
+            policy,
             contents,
         }
     }
@@ -141,15 +159,6 @@ impl DataCache {
         ((slot >> self.way_shift) as u32, (slot & way_mask) as u32)
     }
 
-    /// Loads the words of `line_addr` from `image` into the policy-hook
-    /// buffer, if the policy inspects contents (else it stays empty).
-    #[inline]
-    fn gather(&mut self, line_addr: Addr, image: &MainMemory) {
-        if !self.contents.is_empty() {
-            image.peek_line(line_addr, &mut self.contents);
-        }
-    }
-
     /// Looks up the line containing `addr`. Returns an opaque slot index
     /// on hit. Does **not** update LRU state; call [`DataCache::touch`]
     /// when the probe corresponds to a real access.
@@ -170,6 +179,9 @@ impl DataCache {
     #[inline]
     pub fn probe_at(&self, set: u32, line_addr: Addr) -> Option<usize> {
         let start = (set as usize) << self.way_shift;
+        if self.way_shift == 0 {
+            return (self.tags[start] == line_addr).then_some(start);
+        }
         find(&self.tags[start..start + (1 << self.way_shift)], line_addr).map(|way| start + way)
     }
 
@@ -178,7 +190,9 @@ impl DataCache {
     #[inline]
     pub fn touch(&mut self, slot: usize) {
         let (set, way) = self.set_way(slot);
-        self.policy.touch(set, way);
+        if let Some(policy) = &mut self.policy {
+            policy.touch(set, way);
+        }
     }
 
     /// Records a store into the resident line in `slot`: marks it dirty
@@ -194,9 +208,11 @@ impl DataCache {
         {
             self.dirty[slot] = true;
         }
-        self.gather(self.tags[slot], image);
         let (set, way) = self.set_way(slot);
-        self.policy.write(set, way, &self.contents);
+        if let Some(policy) = &mut self.policy {
+            gather(&mut self.contents, self.tags[slot], image);
+            policy.write(set, way, &self.contents);
+        }
     }
 
     /// Installs a line, evicting the policy's chosen victim if the set
@@ -225,24 +241,28 @@ impl DataCache {
             self.geom.line_addr(line_addr),
             "not a line address"
         );
+        let set = self.geom.set_index(line_addr);
         assert!(
-            self.probe(line_addr).is_none(),
+            self.probe_at(set, line_addr).is_none(),
             "line {line_addr:#x} already resident"
         );
-        let set = self.geom.set_index(line_addr);
         let start = (set as usize) << self.way_shift;
-        // Fill the lowest-index invalid way first, else ask the policy.
-        let way = match find(&self.tags[start..start + (1 << self.way_shift)], EMPTY) {
-            Some(way) => way as u32,
-            None => {
-                let way = self.policy.victim(set);
-                assert!(
-                    way < self.geom.associativity(),
-                    "policy picked way {way} of {}",
-                    self.geom.associativity()
-                );
-                way
-            }
+        // Fill the lowest-index invalid way first, else ask the policy;
+        // a direct-mapped set's only way is both.
+        let way = match &mut self.policy {
+            None => 0,
+            Some(policy) => match find(&self.tags[start..start + (1 << self.way_shift)], EMPTY) {
+                Some(way) => way as u32,
+                None => {
+                    let way = policy.victim(set);
+                    assert!(
+                        way < self.geom.associativity(),
+                        "policy picked way {way} of {}",
+                        self.geom.associativity()
+                    );
+                    way
+                }
+            },
         };
         let slot = start + way as usize;
         let evicted = (self.tags[slot] != EMPTY).then(|| LineTag {
@@ -251,8 +271,10 @@ impl DataCache {
         });
         self.tags[slot] = line_addr;
         self.dirty[slot] = dirty;
-        self.gather(line_addr, image);
-        self.policy.fill(set, way, line_addr, &self.contents);
+        if let Some(policy) = &mut self.policy {
+            gather(&mut self.contents, line_addr, image);
+            policy.fill(set, way, line_addr, &self.contents);
+        }
         (slot, evicted)
     }
 
@@ -277,7 +299,9 @@ impl DataCache {
         let line_addr = std::mem::replace(&mut self.tags[slot], EMPTY);
         assert_ne!(line_addr, EMPTY, "take on invalid line");
         let (set, way) = self.set_way(slot);
-        self.policy.invalidate(set, way);
+        if let Some(policy) = &mut self.policy {
+            policy.invalidate(set, way);
+        }
         LineTag {
             line_addr,
             dirty: self.dirty[slot],

@@ -26,6 +26,9 @@
 //! called **only when every way of the set is valid**: the cache always
 //! fills the lowest-index invalid way first, so policies never see
 //! half-empty sets and the reference oracle can mirror the same rule.
+//! A direct-mapped cache builds no policy and calls no hook: its one
+//! way is always the victim, so no policy state could change an
+//! outcome.
 //!
 //! The cache holds no line data, so the words `fill` and `write` pass
 //! come from the controller's architectural image ([`crate::MainMemory`]).

@@ -176,50 +176,33 @@ impl CacheSim {
         #[cfg(feature = "metrics")]
         crate::metrics::DMC_LOOKUPS.incr();
         let addr = access.addr;
-        let slot = self.cache.probe_at(set, line_addr);
-        let missed = slot.is_none();
+        let probed = self.cache.probe_at(set, line_addr);
+        let missed = probed.is_none();
         if let Some(c) = &mut self.classifier {
             c.observe(addr, missed);
         }
-        match (slot, access.kind) {
-            (Some(slot), AccessKind::Load) => {
-                self.stats.read_hits += 1;
-                self.cache.touch(slot);
-                if self.verify_values {
-                    let value = self.memory.peek(addr);
-                    assert_eq!(
-                        value, access.value,
-                        "cache returned {value:#x} but trace expects {:#x} at {addr:#x}",
-                        access.value
-                    );
+        let store = access.kind == AccessKind::Store;
+        let slot = match probed {
+            Some(slot) => {
+                if store {
+                    self.stats.write_hits += 1;
+                } else {
+                    self.stats.read_hits += 1;
                 }
-            }
-            (Some(slot), AccessKind::Store) => {
-                self.stats.write_hits += 1;
                 self.cache.touch(slot);
-                match self.policy {
-                    WritePolicy::WriteBack => {
-                        self.memory.poke(addr, access.value);
-                        self.cache.write(slot, &self.memory);
-                    }
-                    WritePolicy::WriteThrough => {
-                        // Keep the line clean: the word goes straight to
-                        // memory as well.
-                        self.memory.write_word(addr, access.value);
-                        self.cache.write(slot, &self.memory);
-                        self.cache.clean(slot);
-                    }
-                }
+                slot
             }
-            (None, AccessKind::Store) if self.policy == WritePolicy::WriteThrough => {
+            None if store && self.policy == WritePolicy::WriteThrough => {
                 // No write-allocate: the store bypasses the cache.
                 self.stats.write_misses += 1;
                 self.memory.write_word(addr, access.value);
+                return true;
             }
-            (None, kind) => {
-                match kind {
-                    AccessKind::Load => self.stats.read_misses += 1,
-                    AccessKind::Store => self.stats.write_misses += 1,
+            None => {
+                if store {
+                    self.stats.write_misses += 1;
+                } else {
+                    self.stats.read_misses += 1;
                 }
                 let wpl = self.words_per_line();
                 self.memory.count_fetch(wpl);
@@ -229,23 +212,29 @@ impl CacheSim {
                     self.memory.count_write_back(wpl);
                     self.stats.writebacks += 1;
                 }
-                match kind {
-                    AccessKind::Load => {
-                        if self.verify_values {
-                            let value = self.memory.peek(addr);
-                            assert_eq!(
-                                value, access.value,
-                                "memory returned {value:#x} but trace expects {:#x} at {addr:#x}",
-                                access.value
-                            );
-                        }
-                    }
-                    AccessKind::Store => {
-                        self.memory.poke(addr, access.value);
-                        self.cache.write(slot, &self.memory);
-                    }
-                }
+                slot
             }
+        };
+        if !store {
+            if self.verify_values {
+                let value = self.memory.peek(addr);
+                assert_eq!(
+                    value,
+                    access.value,
+                    "{} returned {value:#x} but trace expects {:#x} at {addr:#x}",
+                    if missed { "memory" } else { "cache" },
+                    access.value
+                );
+            }
+        } else if self.policy == WritePolicy::WriteBack {
+            self.memory.poke(addr, access.value);
+            self.cache.write(slot, &self.memory);
+        } else {
+            // A write-through store hit keeps the line clean: the word
+            // goes straight to memory as well.
+            self.memory.write_word(addr, access.value);
+            self.cache.write(slot, &self.memory);
+            self.cache.clean(slot);
         }
         missed
     }
@@ -469,6 +458,97 @@ mod tests {
                     "{policy:?} {level:?}"
                 );
             }
+        }
+    }
+
+    /// A store-heavy trace over 8 conflicting lines in each of 4 sets of
+    /// a 1 KiB cache of 16-byte lines (lines 1 KiB apart share a set).
+    /// Values lean to 0 and all-ones, so value pinning finds pinnable
+    /// lines; every load sees the latest store.
+    fn conflict_trace() -> Vec<Access> {
+        let mut shadow = std::collections::HashMap::new();
+        let mut x: u32 = 0x2468_ace1;
+        (0..6000)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let addr = (x >> 8) % 8 * 1024 + (x >> 12) % 4 * 16 + (x >> 16) % 4 * 4;
+                if x >> 28 < 10 {
+                    let value = match x >> 24 & 3 {
+                        0 | 1 => 0,
+                        2 => u32::MAX,
+                        _ => x,
+                    };
+                    shadow.insert(addr, value);
+                    Access::store(addr, value)
+                } else {
+                    Access::load(addr, shadow.get(&addr).copied().unwrap_or(0))
+                }
+            })
+            .collect()
+    }
+
+    fn run_conflict_trace(
+        assoc: u32,
+        kind: ReplacementKind,
+        policy: WritePolicy,
+    ) -> (CacheStats, u64, u64) {
+        let mut s = sim(1024, 16, assoc)
+            .with_write_policy(policy)
+            .with_replacement(kind);
+        for access in conflict_trace() {
+            s.on_access(access);
+        }
+        s.on_finish();
+        (*s.stats(), s.memory().words_in(), s.memory().words_out())
+    }
+
+    #[test]
+    fn direct_mapped_outcomes_do_not_depend_on_the_replacement_kind() {
+        // What every kind gave when a 1-way cache still kept and
+        // consulted its replacement state.
+        let expected = |policy| match policy {
+            WritePolicy::WriteBack => (
+                CacheStats {
+                    read_hits: 319,
+                    read_misses: 1952,
+                    write_hits: 458,
+                    write_misses: 3271,
+                    writebacks: 3435,
+                    fetches: 5223,
+                },
+                13740,
+                20892,
+            ),
+            WritePolicy::WriteThrough => (
+                CacheStats {
+                    read_hits: 304,
+                    read_misses: 1967,
+                    write_hits: 504,
+                    write_misses: 3225,
+                    writebacks: 0,
+                    fetches: 1967,
+                },
+                3729,
+                7868,
+            ),
+        };
+        for policy in [WritePolicy::WriteBack, WritePolicy::WriteThrough] {
+            let lru = run_conflict_trace(1, ReplacementKind::Lru, policy);
+            assert_eq!(lru, expected(policy), "{policy:?}");
+            for kind in ReplacementKind::ALL {
+                assert_eq!(
+                    run_conflict_trace(1, kind, policy),
+                    lru,
+                    "{kind} {policy:?}"
+                );
+            }
+            // The same trace tells the kinds apart at 2-way, so it does
+            // give the policies decisions to make.
+            let two_way: Vec<_> = ReplacementKind::ALL
+                .iter()
+                .map(|&kind| run_conflict_trace(2, kind, policy))
+                .collect();
+            assert!(two_way.iter().any(|r| *r != two_way[0]), "{policy:?}");
         }
     }
 

@@ -412,7 +412,7 @@ impl fmt::Debug for HybridCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fvl_cache::CacheGeometry;
+    use fvl_cache::{CacheGeometry, ReplacementKind};
 
     fn top7() -> FrequentValueSet {
         FrequentValueSet::new(vec![0, u32::MAX, 1, 2, 4, 8, 10]).unwrap()
@@ -569,6 +569,74 @@ mod tests {
         assert_eq!(h.hybrid_stats().fvc_dirty_evictions, 1684);
         assert_eq!(h.memory().words_in(), 56589);
         assert_eq!(h.memory().words_out(), 100440);
+    }
+
+    /// Runs a store-heavy trace over 8 conflicting lines in each of 4
+    /// sets of a 1 KiB, 32-byte-line DMC (lines 1 KiB apart share a
+    /// set), half of whose stored values are frequent, through a hybrid
+    /// with a 16-entry FVC and the given DMC shape and replacement.
+    fn run_conflict_trace(
+        assoc: u32,
+        kind: ReplacementKind,
+    ) -> (CacheStats, HybridStats, u64, u64) {
+        use std::collections::HashMap;
+        let config = HybridConfig::new(CacheGeometry::new(1024, 32, assoc).unwrap(), 16, top7())
+            .dmc_replacement(kind);
+        let mut h = HybridCache::new(config);
+        let mut shadow: HashMap<u32, u32> = HashMap::new();
+        let mut x: u32 = 0x1357_9bdf;
+        for _ in 0..6000 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let addr = (x >> 8) % 8 * 1024 + (x >> 12) % 4 * 32 + (x >> 16) % 8 * 4;
+            if x >> 28 < 10 {
+                let value = if x >> 24 & 1 == 0 { (x >> 20) % 11 } else { x };
+                shadow.insert(addr, value);
+                h.on_access(Access::store(addr, value));
+            } else {
+                h.on_access(Access::load(addr, shadow.get(&addr).copied().unwrap_or(0)));
+            }
+        }
+        h.on_finish();
+        (
+            *h.stats(),
+            h.hybrid_stats().clone(),
+            h.memory().words_in(),
+            h.memory().words_out(),
+        )
+    }
+
+    #[test]
+    fn direct_mapped_dmc_outcomes_do_not_depend_on_the_replacement_kind() {
+        let lru = run_conflict_trace(1, ReplacementKind::Lru);
+        // What every kind gave when a 1-way DMC still kept and consulted
+        // its replacement state.
+        let expected = CacheStats {
+            read_hits: 338,
+            read_misses: 1865,
+            write_hits: 1397,
+            write_misses: 2400,
+            writebacks: 2640,
+            fetches: 4265,
+        };
+        assert_eq!((lru.0, lru.2, lru.3), (expected, 22115, 34120));
+        assert_eq!(
+            (
+                lru.1.dmc_hits,
+                lru.1.dmc_to_fvc_inserts,
+                lru.1.fvc_dirty_evictions
+            ),
+            (748, 3979, 756)
+        );
+        for kind in ReplacementKind::ALL {
+            assert_eq!(run_conflict_trace(1, kind), lru, "{kind}");
+        }
+        // The same trace tells the kinds apart with a 2-way DMC, so it
+        // does give the policies decisions to make.
+        let two_way: Vec<_> = ReplacementKind::ALL
+            .iter()
+            .map(|&kind| run_conflict_trace(2, kind))
+            .collect();
+        assert!(two_way.iter().any(|r| *r != two_way[0]));
     }
 
     #[test]

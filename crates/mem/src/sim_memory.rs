@@ -55,6 +55,10 @@ impl Default for SimMemory {
 }
 
 impl SimMemory {
+    /// Bytes per page: the unit that is materialized, and that no
+    /// [`SimMemory::read_words`] range may cross.
+    pub const PAGE_BYTES: u32 = 1 << PAGE_SHIFT;
+
     /// Creates an empty (all-zero) memory.
     pub fn new() -> Self {
         Self::default()
@@ -82,6 +86,30 @@ impl SimMemory {
         match &self.dir[table] {
             Some(table) => table[page].as_ref().map_or(0, |page| page[idx]),
             None => 0,
+        }
+    }
+
+    /// Reads `buf.len()` consecutive words starting at `addr`, all from
+    /// the one page that holds `addr`: the page is looked up once, not
+    /// once per word. An aligned cache line of at most
+    /// [`SimMemory::PAGE_BYTES`] never crosses a page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range crosses a page boundary, and (in debug
+    /// builds) if `addr` is not 4-byte aligned.
+    #[inline]
+    pub fn read_words(&self, addr: Addr, buf: &mut [Word]) {
+        let (table, page, idx) = Self::split(addr);
+        assert!(
+            idx + buf.len() <= PAGE_WORDS,
+            "{} words at {addr:#x} cross a {}-byte page boundary",
+            buf.len(),
+            Self::PAGE_BYTES
+        );
+        match self.dir[table].as_ref().and_then(|t| t[page].as_ref()) {
+            Some(page) => buf.copy_from_slice(&page[idx..idx + buf.len()]),
+            None => buf.fill(0),
         }
     }
 
@@ -194,6 +222,42 @@ mod tests {
         // Writes to the original do not leak into the clone.
         mem.write(4, 999);
         assert_eq!(copy.read(4), 1);
+    }
+
+    #[test]
+    fn read_words_equals_word_by_word_reads() {
+        let mut mem = SimMemory::new();
+        for i in 0..PAGE_WORDS as u32 {
+            mem.write(0x2000 + i * 4, i * 7 + 1);
+        }
+        let by_word = |mem: &SimMemory, addr: Addr, n: u32| -> Vec<Word> {
+            (0..n).map(|i| mem.read(addr + i * 4)).collect()
+        };
+        // A materialized page, an unmaterialized one (zeros), and the
+        // last line of a page.
+        for (addr, n) in [
+            (0x2040, 8),
+            (0x2000, 16),
+            (0x5000, 8),
+            (0x2fe0, 8),
+            (0x2ffc, 1),
+        ] {
+            let mut buf = vec![99; n as usize];
+            mem.read_words(addr, &mut buf);
+            assert_eq!(buf, by_word(&mem, addr, n), "{addr:#x}");
+        }
+        let mut whole = vec![0; PAGE_WORDS];
+        mem.read_words(0x2000, &mut whole);
+        assert_eq!(whole, by_word(&mem, 0x2000, PAGE_WORDS as u32));
+        assert_eq!(mem.resident_pages(), 1, "reads materialize nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "cross a 4096-byte page boundary")]
+    fn read_words_across_a_page_boundary_panics() {
+        let mut mem = SimMemory::new();
+        mem.write(0x1000, 5);
+        mem.read_words(0x0ff8, &mut [0; 4]);
     }
 
     #[test]
